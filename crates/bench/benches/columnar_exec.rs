@@ -8,7 +8,8 @@
 //! * `row/serial`, `row/par4` — the PR-2 row-at-a-time reference executor
 //!   (`safeplan::rowref`): `Vec<(Vec<Value>, P)>` rows, `BTreeMap`
 //!   grouping, build-always-right joins;
-//! * `columnar/serial`, `columnar/par4` — the flat-buffer executor:
+//! * `columnar/serial`, `columnar/par4` — the flat-buffer executor
+//!   (serial, and the operator-DAG executor at 4 threads):
 //!   contiguous value buffer + probability column, packed-key grouping,
 //!   build-side selection, constant pushdown.
 //!
@@ -20,8 +21,8 @@
 
 use bench_harness::{measure_columnar, star_workload};
 use criterion::{criterion_group, criterion_main, Criterion};
-use safeplan::rowref::{row_execute, row_par_execute};
-use safeplan::{build_plan, optimize, par_query_probability, query_probability, ParOptions, Pool};
+use safeplan::rowref::{row_execute, row_execute_parallel};
+use safeplan::{build_plan, dag_query_probability, optimize, query_probability, DagOptions, Pool};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -45,14 +46,14 @@ fn bench(c: &mut Criterion) {
     group.bench_function("row/par4", |b| {
         b.iter(|| {
             let pool = Pool::new(4);
-            row_par_execute(&db, &probs, &plan, &pool).scalar()
+            row_execute_parallel(&db, &probs, &plan, &pool).scalar()
         })
     });
     group.bench_function("columnar/serial", |b| {
         b.iter(|| query_probability(&db, &plan))
     });
     group.bench_function("columnar/par4", |b| {
-        b.iter(|| par_query_probability(&db, &plan, ParOptions::new(4)).0)
+        b.iter(|| dag_query_probability(&db, &plan, &DagOptions::new(4)).0)
     });
     group.finish();
 

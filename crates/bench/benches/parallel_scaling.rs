@@ -5,7 +5,7 @@
 //! roots × fanout 4 (100k tuples): one scan-heavy join plus the
 //! independent-project aggregation — the extensional hot path. `serial`
 //! is the set-at-a-time executor; `par/T` runs the same (optimized) plan
-//! on the morsel-driven scoped-thread pool with `T` workers. Results are
+//! on the operator-DAG executor over a morsel-driven pool of `T` workers. Results are
 //! bit-for-bit identical across all configurations (asserted below);
 //! only wall time moves.
 //!
@@ -16,7 +16,7 @@
 
 use bench_harness::{star_workload, time};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use safeplan::{build_plan, optimize, par_query_probability, query_probability, ParOptions};
+use safeplan::{build_plan, dag_query_probability, optimize, query_probability, DagOptions};
 use std::time::Duration;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     // the serial scalar exactly.
     let serial_p = query_probability(&db, &plan);
     for t in THREADS {
-        let (p, _) = par_query_probability(&db, &plan, ParOptions::new(t));
+        let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(t));
         assert_eq!(p, serial_p, "parallel executor diverged at {t} threads");
     }
 
@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("serial", |b| b.iter(|| query_probability(&db, &plan)));
     for t in THREADS {
         group.bench_with_input(BenchmarkId::new("par", t), &t, |b, &t| {
-            b.iter(|| par_query_probability(&db, &plan, ParOptions::new(t)).0)
+            b.iter(|| dag_query_probability(&db, &plan, &DagOptions::new(t)).0)
         });
     }
     group.finish();
@@ -61,7 +61,7 @@ fn bench(c: &mut Criterion) {
     );
     println!("  serial: {:.1} ms", t_serial * 1e3);
     for t in THREADS {
-        let t_par = median(&|| par_query_probability(&db, &plan, ParOptions::new(t)).0);
+        let t_par = median(&|| dag_query_probability(&db, &plan, &DagOptions::new(t)).0);
         println!(
             "  {t} thread(s): {:.1} ms  speedup {:.2}x",
             t_par * 1e3,

@@ -3,13 +3,12 @@
 //!
 //! ```text
 //! cargo run --release -p bench-harness --bin report -- all
-//! cargo run --release -p bench-harness --bin report -- table1 | mystiq | scaling | hardness | blowup | mc | columnar | incremental | pipeline | sharded
+//! cargo run --release -p bench-harness --bin report -- table1 | mystiq | scaling | hardness | blowup | mc | columnar | incremental | pipeline | obs | serve
 //! ```
 
 use bench_harness::{
     deep_workload, h0_workload, loglog_slope, measure_columnar, measure_incremental, measure_obs,
-    measure_pipeline, measure_serve, measure_sharded, selfjoin_workload, star_workload, time,
-    LatencySummary,
+    measure_pipeline, measure_serve, selfjoin_workload, star_workload, time, LatencySummary,
 };
 use cq::{parse_query, Query, Vocabulary};
 use dichotomy::engine::{Engine, Strategy};
@@ -38,7 +37,6 @@ fn main() {
         "columnar" => columnar(smoke),
         "incremental" => incremental(smoke),
         "pipeline" => pipeline(smoke),
-        "sharded" => sharded(smoke),
         "obs" => obs(smoke),
         "serve" => serve_report(smoke),
         "all" => {
@@ -55,14 +53,13 @@ fn main() {
             columnar(smoke);
             incremental(smoke);
             pipeline(smoke);
-            sharded(smoke);
             obs(smoke);
             serve_report(smoke);
         }
         other => {
             eprintln!("unknown report: {other}");
             eprintln!(
-                "available: table1 mystiq scaling hardness blowup mc ablation plans counting multisim columnar incremental pipeline sharded obs serve all (columnar/incremental/pipeline/sharded/obs/serve take --smoke)"
+                "available: table1 mystiq scaling hardness blowup mc ablation plans counting multisim columnar incremental pipeline obs serve all (columnar/incremental/pipeline/obs/serve take --smoke)"
             );
             std::process::exit(2);
         }
@@ -194,15 +191,15 @@ fn incremental(smoke: bool) {
     println!("-> wrote BENCH_incremental.json");
 }
 
-/// Operator-DAG pipelining + sharded scans vs the barrier-style parallel
-/// executor on a bushy workload, with the measurement also emitted as
-/// machine-readable `BENCH_pipeline.json`. `--smoke` shrinks the workload
-/// for CI: same bit-for-bit gates and JSON shape.
+/// Operator-DAG pipelining vs the serial executor on a bushy workload,
+/// with the measurement also emitted as machine-readable
+/// `BENCH_pipeline.json`. `--smoke` shrinks the workload for CI: same
+/// bit-for-bit gates and JSON shape.
 fn pipeline(smoke: bool) {
-    header("plan pipelining: operator-DAG scheduler + sharded data plane");
+    header("plan pipelining: operator-DAG scheduler");
     let roots: u64 = if smoke { 2_000 } else { 12_000 };
     let runs = if smoke { 3 } else { 5 };
-    // Bit-for-bit gates (DAG/sharded == serial at every tuning) and timing
+    // Bit-for-bit gates (DAG == serial at every thread count) and timing
     // configurations live in `measure_pipeline`.
     let m = measure_pipeline(roots, 4, 7, runs);
 
@@ -215,19 +212,14 @@ fn pipeline(smoke: bool) {
     );
     println!("  serial            : {:>8.2} ms", m.serial_s * 1e3);
     println!(
-        "  dag t=1 s=1       : {:>8.2} ms   overhead {:.2}x vs serial",
+        "  dag t=1           : {:>8.2} ms   overhead {:.2}x vs serial",
         m.dag_serial_s * 1e3,
         m.dag_overhead_vs_serial()
     );
-    println!("  barrier par/4     : {:>8.2} ms", m.barrier_par4_s * 1e3);
     println!(
-        "  dag t=4 s=1       : {:>8.2} ms   speedup {:.2}x vs barrier",
+        "  dag t=4           : {:>8.2} ms   speedup {:.2}x vs serial",
         m.dag_par4_s * 1e3,
-        m.speedup_dag_vs_barrier()
-    );
-    println!(
-        "  dag t=4 s=4       : {:>8.2} ms",
-        m.dag_par4_sharded_s * 1e3
+        m.speedup_dag_vs_serial()
     );
     println!(
         "  scheduler: {} task(s), peak {} ready, {:.2} ms overlapped",
@@ -235,36 +227,24 @@ fn pipeline(smoke: bool) {
         m.max_ready,
         m.overlap_s * 1e3
     );
-    println!(
-        "  shard rows: {:?}  (hardware threads available: {})",
-        m.shard_rows, m.hardware_threads
-    );
+    println!("  (hardware threads available: {})", m.hardware_threads);
 
-    let shard_rows = m
-        .shard_rows
-        .iter()
-        .map(|r| r.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
         "{{\n  \"workload\": \"bushy\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
          \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
          \"serial_s\": {t_ser:.6},\n  \"dag_serial_s\": {t_dag1:.6},\n  \
-         \"barrier_par4_s\": {t_bar:.6},\n  \"dag_par4_s\": {t_dag4:.6},\n  \
-         \"dag_par4_sharded_s\": {t_dag44:.6},\n  \"speedup_dag_vs_barrier\": {su:.3},\n  \
+         \"dag_par4_s\": {t_dag4:.6},\n  \"speedup_dag_vs_serial\": {su:.3},\n  \
          \"dag_overhead_vs_serial\": {ov:.3},\n  \"tasks\": {tasks},\n  \
          \"max_ready\": {ready},\n  \"overlap_s\": {overlap:.6},\n  \
-         \"shard_rows\": [{shard_rows}],\n  \"bit_for_bit_agreement\": true\n}}\n",
+         \"bit_for_bit_agreement\": true\n}}\n",
         roots = m.roots,
         fanout = m.fanout,
         tuples = m.tuples,
         hw = m.hardware_threads,
         t_ser = m.serial_s,
         t_dag1 = m.dag_serial_s,
-        t_bar = m.barrier_par4_s,
         t_dag4 = m.dag_par4_s,
-        t_dag44 = m.dag_par4_sharded_s,
-        su = m.speedup_dag_vs_barrier(),
+        su = m.speedup_dag_vs_serial(),
         ov = m.dag_overhead_vs_serial(),
         tasks = m.tasks,
         ready = m.max_ready,
@@ -274,99 +254,7 @@ fn pipeline(smoke: bool) {
     println!("-> wrote BENCH_pipeline.json");
 }
 
-/// Shard-resident storage: the DAG executor over per-shard columnar
-/// buffers and posting lists vs the serial executor on the 100k-tuple
-/// star, plus sharded incremental refresh under churn, with the
-/// measurement emitted as machine-readable `BENCH_sharded.json`.
-/// `--smoke` shrinks the workload for CI: same bit-for-bit and
-/// zero-global-probe gates, same JSON shape.
-fn sharded(smoke: bool) {
-    header("shard-resident storage: per-shard buffers + posting lists");
-    let roots: u64 = if smoke { 2_000 } else { 20_000 };
-    let runs = if smoke { 3 } else { 5 };
-    // Bit-for-bit gates (DAG == serial at every layout, zero global-index
-    // probes when resident, refresh == cold execution every churn round)
-    // and the timing configurations live in `measure_sharded`.
-    let m = measure_sharded(roots, 4, 7, runs);
-
-    println!(
-        "workload: star, {} roots x fanout {} = {} tuples{}",
-        m.roots,
-        m.fanout,
-        m.tuples,
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("  serial            : {:>8.2} ms", m.serial_s * 1e3);
-    let t = m.timed_threads;
-    for (i, &shards) in m.shard_counts.iter().enumerate() {
-        println!(
-            "  dag t={t} s={shards} resident: {:>8.2} ms   {:.2}x vs serial   refresh {:>7.3} ms   rows {:?}",
-            m.dag_s[i] * 1e3,
-            m.dag_vs_serial(shards),
-            m.refresh_s[i] * 1e3,
-            m.shard_rows[i]
-        );
-    }
-    println!(
-        "  global-index probes avoided: {}  shard-local probes: {}  tasks fused: {}",
-        m.probes_avoided, m.shard_index_probes, m.inlined
-    );
-    println!("  (hardware threads available: {})", m.hardware_threads);
-
-    let shard_counts = m
-        .shard_counts
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let join_f64s = |v: &[f64]| {
-        v.iter()
-            .map(|t| format!("{t:.6}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let shard_rows = m
-        .shard_rows
-        .iter()
-        .map(|rows| {
-            format!(
-                "[{}]",
-                rows.iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"workload\": \"star\",\n  \"roots\": {roots},\n  \"fanout\": {fanout},\n  \
-         \"tuples\": {tuples},\n  \"smoke\": {smoke},\n  \"hardware_threads\": {hw},\n  \
-         \"timed_threads\": {threads},\n  \
-         \"serial_s\": {t_ser:.6},\n  \"shard_counts\": [{shard_counts}],\n  \
-         \"dag_par_s\": [{dag}],\n  \"refresh_par_s\": [{refresh}],\n  \
-         \"shard_rows\": [{shard_rows}],\n  \"dag_vs_serial_s4\": {gate:.3},\n  \
-         \"global_index_probes_avoided\": {avoided},\n  \
-         \"shard_index_probes\": {local},\n  \"inlined_tasks\": {inlined},\n  \
-         \"global_index_probes_resident\": 0,\n  \"bit_for_bit_agreement\": true\n}}\n",
-        roots = m.roots,
-        fanout = m.fanout,
-        tuples = m.tuples,
-        hw = m.hardware_threads,
-        threads = m.timed_threads,
-        t_ser = m.serial_s,
-        dag = join_f64s(&m.dag_s),
-        refresh = join_f64s(&m.refresh_s),
-        gate = m.dag_vs_serial(4),
-        avoided = m.probes_avoided,
-        local = m.shard_index_probes,
-        inlined = m.inlined,
-    );
-    std::fs::write("BENCH_sharded.json", &json).expect("write BENCH_sharded.json");
-    println!("-> wrote BENCH_sharded.json");
-}
-
-/// Telemetry cost: the same threaded + sharded engine evaluation with span
+/// Telemetry cost: the same threaded engine evaluation with span
 /// tracing off vs forced on, on the 100k-tuple star workload, with the
 /// measurement emitted as `BENCH_obs.json` and the captured trace as
 /// `TRACE_obs.json` (Perfetto-loadable). `--smoke` shrinks the workload
@@ -381,7 +269,7 @@ fn obs(smoke: bool) {
     let m = measure_obs(roots, 4, 7, runs);
 
     println!(
-        "workload: star, {} roots x fanout {} = {} tuples, threads=4 shards=4{}",
+        "workload: star, {} roots x fanout {} = {} tuples, threads=4{}",
         m.roots,
         m.fanout,
         m.tuples,

@@ -92,8 +92,8 @@ pub fn deep_workload(n: u64, fanout: u64, seed: u64) -> (ProbDb, Query) {
 /// A bushy four-atom workload for the operator-DAG scheduler:
 /// `R(x), S(x,y), U(x,y,z), V(x,w)`. The `V` scan/project subtree is
 /// independent of the `S`/`U` chain, so a pipelined schedule overlaps
-/// them; every relation gets `n`-proportional cardinality so sharded
-/// scans have rows to split.
+/// them; every relation gets `n`-proportional cardinality so every scan
+/// splits into many morsels.
 pub fn bushy_workload(n: u64, fanout: u64, seed: u64) -> (ProbDb, Query) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut voc = Vocabulary::new();
@@ -187,15 +187,15 @@ impl ColumnarMeasurement {
 }
 
 /// Build the `roots × fanout` star workload, assert the columnar executor
-/// reproduces the row-reference executor's scalar **bit for bit** (serial
-/// and at 2/4/8 threads), and time row/columnar serial and 4-thread
-/// (median of `runs` each).
+/// reproduces the row-reference executor's scalar **bit for bit** (serial,
+/// and the DAG executor at 2/4/8 threads), and time row/columnar serial
+/// and 4-thread (median of `runs` each).
 ///
 /// # Panics
 /// If any configuration's probability diverges from the row reference.
 pub fn measure_columnar(roots: u64, fanout: u64, seed: u64, runs: usize) -> ColumnarMeasurement {
-    use safeplan::rowref::{row_execute, row_par_execute, row_query_probability};
-    use safeplan::{par_query_probability, query_probability, ParOptions, Pool};
+    use safeplan::rowref::{row_execute, row_execute_parallel, row_query_probability};
+    use safeplan::{dag_query_probability, query_probability, DagOptions, Pool};
 
     let (db, q) = star_workload(roots, fanout, seed);
     let plan = safeplan::optimize(&safeplan::build_plan(&q).unwrap());
@@ -204,7 +204,7 @@ pub fn measure_columnar(roots: u64, fanout: u64, seed: u64, runs: usize) -> Colu
     let row_p = row_query_probability(&db, &plan);
     assert_eq!(query_probability(&db, &plan), row_p, "columnar serial");
     for t in [2usize, 4, 8] {
-        let (p, _) = par_query_probability(&db, &plan, ParOptions::new(t));
+        let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(t));
         assert_eq!(p, row_p, "columnar diverged at {t} threads");
     }
 
@@ -217,19 +217,18 @@ pub fn measure_columnar(roots: u64, fanout: u64, seed: u64, runs: usize) -> Colu
         columnar_serial_s: median_time(runs, &|| query_probability(&db, &plan)),
         row_par4_s: median_time(runs, &|| {
             let pool = Pool::new(4);
-            row_par_execute(&db, &probs, &plan, &pool).scalar()
+            row_execute_parallel(&db, &probs, &plan, &pool).scalar()
         }),
         columnar_par4_s: median_time(runs, &|| {
-            par_query_probability(&db, &plan, ParOptions::new(4)).0
+            dag_query_probability(&db, &plan, &DagOptions::new(4)).0
         }),
     }
 }
 
-/// One pipelined-vs-barrier executor comparison on the bushy workload —
+/// One pipelined-vs-serial executor comparison on the bushy workload —
 /// the shared substance of `report -- pipeline` (which serializes it to
-/// `BENCH_pipeline.json`): serial oracle, the barrier-per-operator
-/// parallel executor, and the operator-DAG executor monolithic and
-/// sharded, all asserted bit-for-bit equal first.
+/// `BENCH_pipeline.json`): the serial oracle and the operator-DAG
+/// executor at 1 and 4 threads, all asserted bit-for-bit equal first.
 #[derive(Clone, Debug)]
 pub struct PipelineMeasurement {
     pub roots: u64,
@@ -238,27 +237,21 @@ pub struct PipelineMeasurement {
     pub hardware_threads: usize,
     /// Median seconds per configuration.
     pub serial_s: f64,
-    /// Morsel-parallel executor with a barrier between operators, 4 threads.
-    pub barrier_par4_s: f64,
-    /// DAG scheduler, 4 threads, monolithic data plane.
+    /// DAG scheduler, 4 threads.
     pub dag_par4_s: f64,
-    /// DAG scheduler, 4 threads, 4-way sharded scans.
-    pub dag_par4_sharded_s: f64,
-    /// DAG path at threads=1, shards=1 — the pipelining overhead floor
-    /// (gate: must not be materially slower than the plain serial path).
+    /// DAG path at threads=1 — the pipelining overhead floor (gate: must
+    /// not be materially slower than the plain serial path).
     pub dag_serial_s: f64,
-    /// Schedule shape of a 4-thread sharded run.
+    /// Schedule shape of a 4-thread run.
     pub tasks: u64,
     pub max_ready: u64,
     /// Wall-clock seconds during which ≥2 tasks overlapped.
     pub overlap_s: f64,
-    /// Per-shard scan rows of the sharded run.
-    pub shard_rows: Vec<u64>,
 }
 
 impl PipelineMeasurement {
-    pub fn speedup_dag_vs_barrier(&self) -> f64 {
-        self.barrier_par4_s / self.dag_par4_s
+    pub fn speedup_dag_vs_serial(&self) -> f64 {
+        self.serial_s / self.dag_par4_s
     }
 
     pub fn dag_overhead_vs_serial(&self) -> f64 {
@@ -267,28 +260,24 @@ impl PipelineMeasurement {
 }
 
 /// Build the `roots × fanout` bushy workload, assert the DAG executor
-/// reproduces the serial scalar **bit for bit** for every
-/// `(threads, shards)` in `{1,4} × {1,4}`, and time serial / barrier /
-/// DAG / sharded-DAG (median of `runs` each).
+/// reproduces the serial scalar **bit for bit** at 1, 2, 4 and 8 threads,
+/// and time serial / DAG at 1 thread / DAG at 4 threads (median of `runs`
+/// each).
 ///
 /// # Panics
 /// If any configuration's probability diverges from the serial oracle.
 pub fn measure_pipeline(roots: u64, fanout: u64, seed: u64, runs: usize) -> PipelineMeasurement {
-    use safeplan::{
-        dag_query_probability, par_query_probability, query_probability, DagOptions, ParOptions,
-    };
+    use safeplan::{dag_query_probability, query_probability, DagOptions};
 
     let (db, q) = bushy_workload(roots, fanout, seed);
     let plan = safeplan::optimize(&safeplan::build_plan(&q).unwrap());
 
     let serial_p = query_probability(&db, &plan);
-    for threads in [1usize, 4] {
-        for shards in [1usize, 4] {
-            let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(threads, shards));
-            assert_eq!(p, serial_p, "DAG diverged at t={threads} s={shards}");
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(threads));
+        assert_eq!(p, serial_p, "DAG diverged at t={threads}");
     }
-    let (_, run) = dag_query_probability(&db, &plan, &DagOptions::new(4, 4));
+    let (_, run) = dag_query_probability(&db, &plan, &DagOptions::new(4));
 
     PipelineMeasurement {
         roots,
@@ -296,22 +285,15 @@ pub fn measure_pipeline(roots: u64, fanout: u64, seed: u64, runs: usize) -> Pipe
         tuples: db.num_tuples(),
         hardware_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         serial_s: median_time(runs, &|| query_probability(&db, &plan)),
-        barrier_par4_s: median_time(runs, &|| {
-            par_query_probability(&db, &plan, ParOptions::new(4)).0
-        }),
         dag_par4_s: median_time(runs, &|| {
-            dag_query_probability(&db, &plan, &DagOptions::new(4, 1)).0
-        }),
-        dag_par4_sharded_s: median_time(runs, &|| {
-            dag_query_probability(&db, &plan, &DagOptions::new(4, 4)).0
+            dag_query_probability(&db, &plan, &DagOptions::new(4)).0
         }),
         dag_serial_s: median_time(runs, &|| {
-            dag_query_probability(&db, &plan, &DagOptions::new(1, 1)).0
+            dag_query_probability(&db, &plan, &DagOptions::new(1)).0
         }),
         tasks: run.sched.tasks,
         max_ready: run.sched.max_ready,
         overlap_s: run.sched.overlap.as_secs_f64(),
-        shard_rows: run.shards.rows,
     }
 }
 
@@ -448,228 +430,10 @@ pub fn measure_incremental(
     }
 }
 
-/// One shard-resident storage measurement on the star workload — the
-/// shared substance of `report -- sharded` (which serializes it to
-/// `BENCH_sharded.json`): a mixed scan/join/refresh pass at each storage
-/// shard count, with the bit-for-bit gate, the per-shard row spread, and
-/// the global-index probes the resident layout avoids.
-#[derive(Clone, Debug)]
-pub struct ShardedMeasurement {
-    pub roots: u64,
-    pub fanout: u64,
-    pub tuples: usize,
-    pub hardware_threads: usize,
-    /// Median seconds, serial set-at-a-time executor (monolithic layout).
-    pub serial_s: f64,
-    /// Worker threads the timed DAG/refresh runs used: `min(4, hardware)`,
-    /// so a 1-core container measures resident-layout overhead rather
-    /// than thread oversubscription (bit gates still cover threads
-    /// `{1, 4}` regardless).
-    pub timed_threads: usize,
-    /// Storage shard counts measured; parallel arrays below index into it.
-    pub shard_counts: Vec<usize>,
-    /// Median seconds, DAG executor at `timed_threads` with the database
-    /// laid out shard-resident at `shard_counts[i]` (1 = monolithic plane).
-    pub dag_s: Vec<f64>,
-    /// Median seconds per ~1% churn round, incremental refresh tuned to
-    /// `(timed_threads, shard_counts[i])` with the matching layout on
-    /// (exercises the sharded Added/Removed/Updated delta routing).
-    pub refresh_s: Vec<f64>,
-    /// Per-shard scan-row spread of one counted run at `shard_counts[i]`.
-    pub shard_rows: Vec<Vec<u64>>,
-    /// Global-index probes one serial evaluation pays — every one of them
-    /// avoided by the resident path, whose own count is gated at zero.
-    pub probes_avoided: u64,
-    /// Shard-local posting probes the widest resident run performed
-    /// instead of global ones.
-    pub shard_index_probes: u64,
-    /// Single-child operators the decomposer fused into their producer
-    /// tasks in the widest resident run.
-    pub inlined: u64,
-}
-
-impl ShardedMeasurement {
-    /// Resident-DAG time at `shards` relative to the serial executor —
-    /// the in-container acceptance gate pins this at ≤ 1.05 for shards=4.
-    pub fn dag_vs_serial(&self, shards: usize) -> f64 {
-        let i = self
-            .shard_counts
-            .iter()
-            .position(|&s| s == shards)
-            .expect("a measured shard count");
-        self.dag_s[i] / self.serial_s
-    }
-}
-
-/// Build the `roots × fanout` star through the delta log, then for each
-/// storage shard count in `{1, 2, 4}`: lay the database out resident at
-/// that fan-out, assert the DAG executor reproduces the serial scalar
-/// **bit for bit** at threads `{1, 4}` (with zero global-index probes
-/// whenever the layout is sharded), time the DAG pass at
-/// `min(4, hardware)` threads (median of `runs`), and run `runs` ~1%
-/// churn rounds through an incremental view refreshed at the matching
-/// `(threads, shards)` tuning — each round gated bit-for-bit against a
-/// cold serial execution.
-///
-/// # Panics
-/// If any configuration diverges from the serial oracle, or a resident
-/// run touches the global index.
-pub fn measure_sharded(roots: u64, fanout: u64, seed: u64, runs: usize) -> ShardedMeasurement {
-    use incremental::{IncrementalView, RefreshOptions};
-    use pdb::DeltaBatch;
-    use safeplan::{
-        dag_query_probability, dag_query_probability_counted, query_probability,
-        query_probability_counted, DagOptions, OpCounters,
-    };
-
-    const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut voc = Vocabulary::new();
-    let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
-    let r = voc.find_relation("R").unwrap();
-    let s = voc.find_relation("S").unwrap();
-    let plan = safeplan::optimize(&safeplan::build_plan(&q).unwrap());
-    let mut db = ProbDb::new(voc);
-    let mut load = DeltaBatch::new();
-    for i in 0..roots {
-        load.insert(r, vec![Value(i)], rng.gen_range(0.02..0.2));
-        for j in 0..fanout {
-            load.insert(
-                s,
-                vec![Value(i), Value(roots + i * fanout + j)],
-                rng.gen_range(0.02..0.3),
-            );
-        }
-    }
-    db.apply(&load);
-    let tuples = db.num_tuples();
-    let churn = (tuples / 100).max(1);
-
-    // Serial oracle: the scalar every configuration must reproduce bit for
-    // bit, and the global-index probe bill the resident layout avoids.
-    let mut serial_c = OpCounters::default();
-    let serial_p = query_probability_counted(&db, &plan, &mut serial_c);
-    let probes_avoided = serial_c.global_index_probes;
-    let serial_s = median_time(runs, &|| query_probability(&db, &plan));
-    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let timed_threads = hardware_threads.min(4);
-
-    let mut dag_s = Vec::new();
-    let mut shard_rows = Vec::new();
-    let mut shard_index_probes = 0u64;
-    let mut inlined = 0u64;
-    for &shards in &SHARD_COUNTS {
-        db.set_shard_layout(shards);
-        let mut c = OpCounters::default();
-        let (p, run) =
-            dag_query_probability_counted(&db, &plan, &DagOptions::new(4, shards), &mut c);
-        assert_eq!(
-            p.to_bits(),
-            serial_p.to_bits(),
-            "sharded DAG diverged at t=4 s={shards}"
-        );
-        let (p1, _) = dag_query_probability(&db, &plan, &DagOptions::new(1, shards));
-        assert_eq!(
-            p1.to_bits(),
-            serial_p.to_bits(),
-            "sharded DAG diverged at t=1 s={shards}"
-        );
-        if shards > 1 {
-            assert_eq!(
-                c.global_index_probes, 0,
-                "resident scans probed the global index at s={shards}"
-            );
-            assert!(
-                c.shard_index_probes > 0,
-                "no shard-local probes recorded at s={shards}"
-            );
-            shard_index_probes = c.shard_index_probes;
-            inlined = run.sched.inlined;
-        }
-        shard_rows.push(run.shards.rows.clone());
-        dag_s.push(median_time(runs, &|| {
-            dag_query_probability(&db, &plan, &DagOptions::new(timed_threads, shards)).0
-        }));
-    }
-
-    // Refresh leg: churn routed through the resident layout (per-shard
-    // delta application + per-shard version stamps), refreshed sharded and
-    // gated against cold serial execution every round.
-    let mut view = IncrementalView::new(&db, &plan).unwrap();
-    let mut next_y = roots * (fanout + 1) + 1;
-    let mut refresh_s = Vec::new();
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
-    for &shards in &SHARD_COUNTS {
-        db.set_shard_layout(shards);
-        let mut times = Vec::with_capacity(runs);
-        for round in 0..runs {
-            let mut batch = DeltaBatch::new();
-            for c in 0..churn {
-                match c % 10 {
-                    // 10% fresh inserts under a random existing root.
-                    0 => {
-                        let root = rng.gen_range(0..roots);
-                        batch.insert(
-                            s,
-                            vec![Value(root), Value(next_y)],
-                            rng.gen_range(0.02..0.3),
-                        );
-                        next_y += 1;
-                    }
-                    // 10% deletes of random live S tuples.
-                    5 => {
-                        let ids = db.tuples_of(s);
-                        let id = ids[rng.gen_range(0..ids.len())];
-                        batch.delete(s, db.tuple(id).args.clone());
-                    }
-                    // 80% probability updates (R and S).
-                    k => {
-                        let rel = if k < 3 { r } else { s };
-                        let ids = db.tuples_of(rel);
-                        let id = ids[rng.gen_range(0..ids.len())];
-                        batch.update(rel, db.tuple(id).args.clone(), rng.gen_range(0.02..0.3));
-                    }
-                }
-            }
-            db.apply(&batch);
-            let (t, _) =
-                time(|| view.refresh(&db, RefreshOptions::with_tuning(timed_threads, shards)));
-            times.push(t);
-            let cold = query_probability(&db, &plan);
-            assert_eq!(
-                view.probability().to_bits(),
-                cold.to_bits(),
-                "round {round}: sharded refresh diverged at s={shards}"
-            );
-        }
-        refresh_s.push(median(times));
-    }
-
-    ShardedMeasurement {
-        roots,
-        fanout,
-        tuples,
-        hardware_threads,
-        serial_s,
-        timed_threads,
-        shard_counts: SHARD_COUNTS.to_vec(),
-        dag_s,
-        refresh_s,
-        shard_rows,
-        probes_avoided,
-        shard_index_probes,
-        inlined,
-    }
-}
-
 /// One traced-vs-untraced telemetry comparison on the star workload — the
 /// shared substance of `report -- obs` (which serializes it to
 /// `BENCH_obs.json` and the captured trace to `TRACE_obs.json`): the same
-/// threaded + sharded engine evaluation timed with span tracing off and
+/// threaded engine evaluation timed with span tracing off and
 /// forced on, plus the shape of the trace one run records.
 #[derive(Clone, Debug)]
 pub struct ObsMeasurement {
@@ -700,7 +464,7 @@ impl ObsMeasurement {
 }
 
 /// Build the `roots × fanout` star workload, assert span tracing does not
-/// perturb the engine's scalar (bit for bit, threads=4 shards=4), and time
+/// perturb the engine's scalar (bit for bit, threads=4), and time
 /// the evaluation untraced vs traced (median of `runs` each). One final
 /// traced run is exported as Chrome trace JSON.
 ///
@@ -712,7 +476,7 @@ pub fn measure_obs(roots: u64, fanout: u64, seed: u64, runs: usize) -> ObsMeasur
     use dichotomy::engine::{Engine, ExecOptions, Strategy};
 
     let (db, q) = star_workload(roots, fanout, seed);
-    let engine = Engine::with_options(0, 7, ExecOptions::with_tuning(4, 4));
+    let engine = Engine::with_options(0, 7, ExecOptions::with_threads(4));
     let eval = || {
         engine
             .evaluate(&db, &q, Strategy::Auto)

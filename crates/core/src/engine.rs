@@ -50,49 +50,29 @@ pub struct ExecOptions {
     /// Parallel extensional execution is bit-for-bit identical to serial;
     /// sampling plans stay deterministic per `(seed, threads)`.
     pub threads: usize,
-    /// Requested shard fan-out for the hash-partitioned extensional data
-    /// plane; 1 = monolithic. The executor's cost model collapses the
-    /// request per plan when every scan is too small to split. Sharded
-    /// execution is bit-for-bit identical to monolithic serial.
-    pub shards: usize,
 }
 
 impl ExecOptions {
     pub fn serial() -> Self {
-        ExecOptions {
-            threads: 1,
-            shards: 1,
-        }
+        Self::with_threads(1)
     }
 
     pub fn with_threads(threads: usize) -> Self {
-        Self::with_tuning(threads, 1)
-    }
-
-    pub fn with_tuning(threads: usize, shards: usize) -> Self {
         ExecOptions {
             threads: threads.max(1),
-            shards: shards.max(1),
         }
     }
 }
 
 impl Default for ExecOptions {
-    /// Honors `ENGINE_THREADS` and `ENGINE_SHARDS` (CI forces the
-    /// pipelined/sharded executor on the whole suite that way); otherwise
-    /// serial monolithic.
+    /// Honors `ENGINE_THREADS` (CI forces the pipelined executor on the
+    /// whole suite that way); otherwise serial.
     fn default() -> Self {
-        let env_tuning = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
-                .filter(|&t| t >= 1)
-                .unwrap_or(1)
-        };
-        ExecOptions {
-            threads: env_tuning("ENGINE_THREADS"),
-            shards: env_tuning("ENGINE_SHARDS"),
-        }
+        let threads = std::env::var("ENGINE_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .unwrap_or(1);
+        Self::with_threads(threads)
     }
 }
 
@@ -145,18 +125,14 @@ pub struct Evaluation {
     /// plain (re-)executions.
     pub incremental: Option<RefreshCounters>,
     /// Operator-DAG scheduler counters when the plan ran pipelined
-    /// (`ExecOptions::threads > 1` or a sharded fan-out survived the cost
-    /// model); `None` for serial monolithic runs.
+    /// (`ExecOptions::threads > 1`); `None` for serial runs.
     pub scheduler: Option<safeplan::DagStats>,
-    /// Per-shard scan row counts when the extensional data plane ran
-    /// hash-partitioned; `None` when no DAG run happened.
-    pub sharding: Option<safeplan::ShardStats>,
 }
 
 impl Evaluation {
     /// One uniform metric snapshot of everything this evaluation reported:
     /// the result, the planning/execution split, and whichever of the
-    /// operator / scheduler / shard / thread / refresh counter families
+    /// operator / scheduler / thread / refresh counter families
     /// were populated, flattened under dotted keys. The same snapshot
     /// backs the CLI's `--json` output, so machine consumers read one
     /// schema whatever substrate ran.
@@ -174,9 +150,6 @@ impl Evaluation {
         }
         if let Some(sched) = &self.scheduler {
             sched_metrics(&mut m, sched);
-        }
-        if let Some(sh) = &self.sharding {
-            shard_metrics(&mut m, sh);
         }
         if let Some(par) = &self.parallel {
             thread_metrics(&mut m, par);
@@ -206,9 +179,6 @@ pub(crate) fn ops_metrics(m: &mut MetricSet, ops: &safeplan::OpCounters) {
     m.set_count("ops.joins_build_left", ops.joins_build_left);
     m.set_count("ops.join_rows", ops.join_rows);
     m.set_count("ops.groups", ops.groups);
-    m.set_count("ops.shard_fanout", ops.shard_fanout);
-    m.set_count("ops.global_index_probes", ops.global_index_probes);
-    m.set_count("ops.shard_index_probes", ops.shard_index_probes);
     m.set_count("ops.est_builds", ops.est_builds);
     m.set_count("ops.est_build_overrides", ops.est_build_overrides);
     m.set_ns("ops.time.scan_ns", ops.times.scan_ns);
@@ -225,15 +195,6 @@ pub(crate) fn sched_metrics(m: &mut MetricSet, sched: &safeplan::DagStats) {
     m.set_count("sched.max_ready", sched.max_ready);
     m.set_count("sched.max_running", sched.max_running);
     m.set_ns("sched.overlap_ns", sched.overlap.as_nanos() as u64);
-}
-
-/// Flatten per-shard scan rows under `shards.*`.
-pub(crate) fn shard_metrics(m: &mut MetricSet, sh: &safeplan::ShardStats) {
-    m.set_count("shards.count", sh.shards as u64);
-    m.set_count("shards.rows_total", sh.rows.iter().sum());
-    for (i, rows) in sh.rows.iter().enumerate() {
-        m.set_count(&format!("shards.rows.{i}"), *rows);
-    }
 }
 
 /// Flatten per-worker thread timings under `threads.*`.
@@ -370,7 +331,7 @@ impl Engine {
     }
 
     pub(crate) fn executor(&self) -> Executor {
-        Executor::with_tuning(self.seed, self.exec.threads, self.exec.shards)
+        Executor::with_threads(self.seed, self.exec.threads)
     }
 
     /// Evaluate `p(q)` on `db` with the chosen strategy.
@@ -437,14 +398,7 @@ impl Engine {
                 Strategy::ExactLineage => "exact".to_string(),
                 Strategy::MonteCarlo { samples } => format!("mc:{samples}"),
             };
-            ResultCache::key(
-                db,
-                self.seed,
-                self.exec.threads,
-                self.exec.shards,
-                &tag,
-                &q.cache_key(),
-            )
+            ResultCache::key(db, self.seed, self.exec.threads, 1, &tag, &q.cache_key())
         });
 
         let exec_start = Instant::now();
@@ -498,7 +452,6 @@ impl Engine {
             extensional: outcome.extensional,
             incremental: None,
             scheduler: outcome.scheduler,
-            sharding: outcome.sharding,
         })
     }
 
@@ -675,17 +628,13 @@ impl ViewHandle {
         match &mut *inner {
             ViewInner::Incremental(view) => {
                 let refreshed = rebuilt || view.synced_version() != db.version();
-                let run = view.refresh_run(
-                    db,
-                    RefreshOptions::with_tuning(self.exec.threads, self.exec.shards),
-                );
+                let run = view.refresh_run(db, RefreshOptions::with_threads(self.exec.threads));
                 let execution = start.elapsed();
                 // An incremental refresh runs its delta kernels on the same
-                // morsel pool and sharded scan-matching as the DAG
-                // executor, so a refreshed read reports the same thread and
-                // shard counter families a re-execution would.
+                // morsel pool as the DAG executor, so a refreshed read
+                // reports the same thread counter family a re-execution
+                // would.
                 let parallel = (run.threads.threads() > 0).then(|| run.threads.clone());
-                let sharding = (run.shards.shards > 0).then(|| run.shards.clone());
                 Ok(ViewReading {
                     evaluation: Evaluation {
                         probability: view.probability(),
@@ -701,7 +650,6 @@ impl ViewHandle {
                         extensional: None,
                         incremental: Some(run.counters),
                         scheduler: None,
-                        sharding,
                     },
                     version: db.version(),
                     refreshed,
@@ -712,10 +660,9 @@ impl ViewHandle {
                 let (refreshed, outcome) = match cached {
                     Some(entry) if entry.0 == version => (false, entry.1.clone()),
                     _ => {
-                        let outcome =
-                            Executor::with_tuning(self.seed, self.exec.threads, self.exec.shards)
-                                .execute(db, &self.planned.plan)
-                                .map_err(EngineError::Eval)?;
+                        let outcome = Executor::with_threads(self.seed, self.exec.threads)
+                            .execute(db, &self.planned.plan)
+                            .map_err(EngineError::Eval)?;
                         *cached = Some(Box::new((version, outcome.clone())));
                         (true, outcome)
                     }
@@ -736,7 +683,6 @@ impl ViewHandle {
                         extensional: outcome.extensional,
                         incremental: None,
                         scheduler: outcome.scheduler,
-                        sharding: outcome.sharding,
                     },
                     version,
                     refreshed,

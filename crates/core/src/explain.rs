@@ -102,23 +102,6 @@ pub fn explain_evaluation(ev: &Evaluation) -> String {
             sched.tasks, sched.max_ready, sched.max_running, sched.overlap
         );
     }
-    if let Some(sh) = &ev.sharding {
-        if sh.shards > 1 {
-            let _ = writeln!(
-                out,
-                "shards    : {} ({} scan rows: {})",
-                sh.shards,
-                sh.rows.iter().sum::<u64>(),
-                sh.rows
-                    .iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join("/")
-            );
-        } else {
-            let _ = writeln!(out, "shards    : 1 (cost model kept scans monolithic)");
-        }
-    }
     if let Some(inc) = &ev.incremental {
         if inc.full_rebuilds > 0 {
             let _ = writeln!(
@@ -338,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn explains_dag_scheduler_and_shard_counters() {
+    fn explains_dag_scheduler_counters() {
         use crate::engine::{Engine, ExecOptions, Strategy};
         use cq::Value;
         let mut voc = Vocabulary::new();
@@ -348,17 +331,12 @@ mod tests {
         let mut db = pdb::ProbDb::new(voc);
         db.insert(r, vec![Value(1)], 0.5);
         db.insert(s, vec![Value(1), Value(2)], 0.4);
-        let engine = Engine::with_options(1_000, 1, ExecOptions::with_tuning(2, 4));
+        let engine = Engine::with_options(1_000, 1, ExecOptions::with_threads(2));
         let ev = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
         let text = explain_evaluation(&ev);
         assert!(text.contains("scheduler :"), "{text}");
         assert!(text.contains("task(s), peak"), "{text}");
         assert!(text.contains("cost model:"), "{text}");
-        // Tiny scans: the requested fan-out collapses to monolithic.
-        assert!(
-            text.contains("shards    : 1 (cost model kept scans monolithic)"),
-            "{text}"
-        );
     }
 
     #[test]

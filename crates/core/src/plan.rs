@@ -28,7 +28,8 @@ use numeric::QRat;
 use pdb::{lineage_of, ProbDb, RatProbs};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use safeplan::{DagOptions, DagStats, ShardStats};
+use safeplan::{DagOptions, DagStats};
+use std::convert::Infallible;
 use std::fmt;
 
 /// How a probability was computed — the executor's report of which
@@ -137,39 +138,29 @@ pub struct ExecOutcome {
     /// groups aggregated. Identical for serial and parallel runs.
     pub extensional: Option<safeplan::OpCounters>,
     /// Operator-DAG scheduler counters when the plan ran pipelined
-    /// (`threads > 1` or a sharded scan fan-out): tasks scheduled, peak
-    /// ready/running widths, and wall time with ≥2 tasks overlapped.
+    /// (`threads > 1`): tasks scheduled, peak ready/running widths, and
+    /// wall time with ≥2 tasks overlapped.
     pub scheduler: Option<DagStats>,
-    /// Per-shard scan row counts when the extensional data plane ran
-    /// hash-partitioned. `shards == 1` means the cost model collapsed the
-    /// requested fan-out (inputs below [`safeplan::SHARD_MIN_ROWS`]).
-    pub sharding: Option<ShardStats>,
+    /// Kept only for the `perfbench` replay harness, which builds outcomes
+    /// field by field. Always `None`: the type has no values.
+    pub sharding: Option<Infallible>,
 }
 
 /// The executor: runs a [`PhysicalPlan`] against a database. Holds only
-/// tuning that affects execution (the RNG seed for sampling plans, the
-/// worker-thread count, and the requested shard fan-out); all query
-/// analysis lives behind it in the planner.
+/// tuning that affects execution (the RNG seed for sampling plans and the
+/// worker-thread count); all query analysis lives behind it in the
+/// planner.
 #[derive(Clone, Copy, Debug)]
 pub struct Executor {
     /// RNG seed for reproducible Monte-Carlo estimates.
     pub seed: u64,
     /// Worker threads for the parallel execution paths; 1 = serial.
     pub threads: usize,
-    /// Requested shard fan-out for the hash-partitioned extensional data
-    /// plane; 1 = monolithic. The cost model collapses the request per
-    /// plan when every scan is too small to be worth splitting
-    /// ([`safeplan::plan_shard_fanout`]).
-    pub shards: usize,
 }
 
 impl Executor {
     pub fn new(seed: u64) -> Self {
-        Executor {
-            seed,
-            threads: 1,
-            shards: 1,
-        }
+        Self::with_threads(seed, 1)
     }
 
     /// An executor running the morsel-driven parallel paths on `threads`
@@ -179,18 +170,17 @@ impl Executor {
     /// per-worker RNG streams — deterministic for a fixed `(seed,
     /// threads)`, but a *different* stream than the serial sampler's.
     pub fn with_threads(seed: u64, threads: usize) -> Self {
-        Self::with_tuning(seed, threads, 1)
-    }
-
-    /// An executor with both worker threads and a shard fan-out for the
-    /// extensional data plane. Results stay bit-for-bit those of the
-    /// serial monolithic executor for every `(threads, shards)` pair.
-    pub fn with_tuning(seed: u64, threads: usize, shards: usize) -> Self {
         Executor {
             seed,
             threads: threads.max(1),
-            shards: shards.max(1),
         }
+    }
+
+    /// [`Executor::with_threads`] with a `shards` argument that must be 1.
+    /// Kept only for the `perfbench` replay harness.
+    pub fn with_tuning(seed: u64, threads: usize, shards: usize) -> Self {
+        debug_assert_eq!(shards, 1, "the extensional data plane is unsharded");
+        Self::with_threads(seed, threads)
     }
 
     /// Run `plan` against `db` in `f64` arithmetic.
@@ -205,15 +195,11 @@ impl Executor {
             PhysicalPlan::Trivial { probability } => Ok(exact(*probability, Method::Recurrence)),
             PhysicalPlan::Extensional { plan } => {
                 let mut counters = safeplan::OpCounters::default();
-                // The cost model gates the requested shard fan-out per
-                // plan: tiny scans stay monolithic, so `shards` is a
-                // ceiling, not a mandate.
-                let fanout = safeplan::plan_shard_fanout(plan, db, self.shards);
-                if self.threads > 1 || fanout > 1 {
+                if self.threads > 1 {
                     let (p, run) = safeplan::dag_query_probability_counted(
                         db,
                         plan,
-                        &DagOptions::new(self.threads, fanout),
+                        &DagOptions::new(self.threads),
                         &mut counters,
                     );
                     Ok(ExecOutcome {
@@ -223,7 +209,7 @@ impl Executor {
                         parallel: Some(run.threads),
                         extensional: Some(counters),
                         scheduler: Some(run.sched),
-                        sharding: Some(run.shards),
+                        sharding: None,
                     })
                 } else {
                     let p = safeplan::query_probability_counted(db, plan, &mut counters);
@@ -439,29 +425,18 @@ mod tests {
             plan: safeplan::build_plan(&q).unwrap(),
         };
         let serial = Executor::new(7).execute(&db, &plan).unwrap();
-        assert!(serial.scheduler.is_none() && serial.sharding.is_none());
-        // Tiny scans + one thread: the cost model collapses the requested
-        // fan-out to 1 and the plan runs serial monolithic.
-        let collapsed = Executor::with_tuning(7, 1, 4).execute(&db, &plan).unwrap();
-        assert_eq!(
-            collapsed.probability.to_bits(),
-            serial.probability.to_bits()
-        );
-        assert!(collapsed.scheduler.is_none() && collapsed.sharding.is_none());
-        for (threads, shards) in [(2, 1), (4, 4)] {
-            let out = Executor::with_tuning(7, threads, shards)
+        assert!(serial.scheduler.is_none());
+        for threads in [2, 4] {
+            let out = Executor::with_threads(7, threads)
                 .execute(&db, &plan)
                 .unwrap();
             assert_eq!(
                 out.probability.to_bits(),
                 serial.probability.to_bits(),
-                "threads={threads} shards={shards}"
+                "threads={threads}"
             );
             let sched = out.scheduler.expect("pipelined run reports DAG stats");
             assert!(sched.tasks >= 2);
-            let sharding = out.sharding.expect("pipelined run reports shard stats");
-            // Tiny scans: the cost model collapses the requested fan-out.
-            assert_eq!(sharding.shards, 1);
         }
     }
 

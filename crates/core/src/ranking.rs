@@ -36,7 +36,7 @@ pub struct RankedAnswer {
 
 /// Execution counters of one ranked evaluation — the same families a
 /// Boolean [`crate::engine::Evaluation`] carries, so batched ranked runs
-/// report their thread/scheduler/shard behavior instead of dropping it.
+/// report their thread/scheduler behavior instead of dropping it.
 #[derive(Clone, Debug, Default)]
 pub struct RankedRun {
     /// Per-thread timing counters when the answer set ran on the parallel
@@ -46,8 +46,6 @@ pub struct RankedRun {
     pub extensional: Option<safeplan::OpCounters>,
     /// DAG scheduler counters when the batched plan ran pipelined.
     pub scheduler: Option<safeplan::DagStats>,
-    /// Per-shard scan rows when the data plane ran hash-partitioned.
-    pub sharding: Option<safeplan::ShardStats>,
 }
 
 impl RankedRun {
@@ -62,9 +60,6 @@ impl RankedRun {
         }
         if let Some(sched) = &self.scheduler {
             crate::engine::sched_metrics(&mut m, sched);
-        }
-        if let Some(sh) = &self.sharding {
-            crate::engine::shard_metrics(&mut m, sh);
         }
         if let Some(par) = &self.parallel {
             crate::engine::thread_metrics(&mut m, par);
@@ -106,8 +101,8 @@ pub fn ranked_answers(
 }
 
 /// [`ranked_answers`], also reporting the run's execution counters (thread
-/// timings, operator counts, DAG scheduler and shard spread where the
-/// batched plan ran pipelined).
+/// timings, operator counts, and DAG scheduler counters where the batched
+/// plan ran pipelined).
 pub fn ranked_answers_counted(
     engine: &Engine,
     db: &ProbDb,
@@ -162,24 +157,22 @@ fn ranked_auto(
     match &*template {
         RankedPlan::Batched { plan, head } => {
             // One set-at-a-time execution computes every candidate's
-            // marginal probability; at `threads > 1` (or a surviving shard
-            // fan-out) the plan runs on the operator-DAG executor —
-            // bit-for-bit the serial output, including order — and the
-            // scheduler/shard/thread counters come back with the answers.
+            // marginal probability; at `threads > 1` the plan runs on the
+            // operator-DAG executor — bit-for-bit the serial output,
+            // including order — and the scheduler/thread counters come
+            // back with the answers.
             let mut counters = safeplan::OpCounters::default();
-            let fanout = safeplan::plan_shard_fanout(plan, db, engine.exec.shards);
-            let pairs = if engine.exec.threads > 1 || fanout > 1 {
+            let pairs = if engine.exec.threads > 1 {
                 let (pairs, dag) = safeplan::dag_ranked_probabilities_counted(
                     db,
                     &db.prob_vector(),
                     plan,
                     head,
-                    &safeplan::DagOptions::new(engine.exec.threads, fanout),
+                    &safeplan::DagOptions::new(engine.exec.threads),
                     &mut counters,
                 );
                 run.parallel = Some(dag.threads);
                 run.scheduler = Some(dag.sched);
-                run.sharding = Some(dag.shards);
                 pairs
             } else {
                 safeplan::ranked_probabilities_counted(

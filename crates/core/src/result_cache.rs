@@ -22,8 +22,8 @@
 //!   immutable `(uid, version)` state — precisely the "within an epoch"
 //!   validity the serving layer needs, with no invalidation protocol:
 //!   a new epoch simply has a new key.
-//! * seed, threads, shards — execution tuning that changes sampling
-//!   streams (estimates are deterministic per `(seed, threads)`).
+//! * seed, threads — execution tuning that changes sampling streams
+//!   (estimates are deterministic per `(seed, threads)`).
 //! * the strategy discriminant and effective sample count — a forced
 //!   exact-lineage run and an `Auto` run of the same query must not
 //!   share an entry, and a changed `mc_samples` must re-execute.
@@ -99,6 +99,9 @@ impl ResultCache {
     /// Build the cache key for one evaluation. `strategy_tag` encodes the
     /// strategy discriminant plus its effective sample count (0 for exact
     /// strategies); `query_key` is `Query::cache_key()`.
+    ///
+    /// `shards` is kept only for the `perfbench` replay harness and must
+    /// be 1: the extensional data plane is unsharded.
     pub fn key(
         db: &pdb::ProbDb,
         seed: u64,
@@ -107,8 +110,9 @@ impl ResultCache {
         strategy_tag: &str,
         query_key: &str,
     ) -> String {
+        debug_assert_eq!(shards, 1, "the extensional data plane is unsharded");
         format!(
-            "{}:{}:{seed}:{threads}:{shards}:{strategy_tag}:{query_key}",
+            "{}:{}:{seed}:{threads}:{strategy_tag}:{query_key}",
             db.uid(),
             db.version(),
         )

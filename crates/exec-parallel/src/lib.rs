@@ -15,12 +15,10 @@
 //!   partitioned scans, join probes, and filters, where each element is
 //!   independent.
 //! * [`Pool::map_partitions`] — exactly `parts` work items, one per hash
-//!   partition; each worker prefers the partitions striped to it
-//!   (worker–shard affinity: the same worker tends to revisit the same
-//!   shard across dispatches) and steals the rest. Used for group-by
-//!   aggregation and per-shard scans, where every row of a partition must
-//!   be folded by the same worker (in row order) to keep floating-point
-//!   results bit-identical to the serial executor.
+//!   partition, pulled from the same cursor. Used for group-by
+//!   aggregation, where every row of a partition must be folded by the
+//!   same worker (in row order) to keep floating-point results
+//!   bit-identical to the serial executor.
 //!
 //! The pool also keeps per-worker [`ThreadStats`] (busy time, morsels,
 //! rows) across every dispatch it serves, so an execution can report how
@@ -35,7 +33,7 @@
 //! independence. See the module docs for the scheduling model.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -178,21 +176,12 @@ impl Pool {
 
     /// Apply `work` to partition ids `0..parts`, returning results in
     /// partition order. Each partition is handled by exactly one worker.
-    ///
-    /// Dispatch is **partition-affine**: worker `w` claims the partitions
-    /// striped to it (`p % workers == w`) before stealing anything else,
-    /// so across repeated dispatches the same worker tends to touch the
-    /// same partition — the cache-locality hint the shard-resident data
-    /// plane leans on (and the hook NUMA pinning would extend). Stealing
-    /// keeps skewed partitions from idling workers, and the results are
-    /// re-sorted by partition id, so the affinity is invisible in the
-    /// output.
     pub fn map_partitions<T, F>(&self, parts: usize, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.dispatch_affine(parts, |i| (work(i), 1))
+        self.dispatch(parts, |i| (work(i), 1))
     }
 
     /// The shared engine behind both shapes: `tasks` work items pulled
@@ -273,76 +262,6 @@ impl Pool {
         tagged.sort_by_key(|(i, _)| *i);
         tagged.into_iter().map(|(_, t)| t).collect()
     }
-
-    /// [`Pool::dispatch`] with worker–partition **affinity**: instead of a
-    /// shared cursor, every partition carries a claim flag and worker `w`
-    /// walks its own stripe (`p % workers == w`) first, then sweeps the
-    /// rest ascending as a steal pass. Exactly one worker wins each flag,
-    /// so coverage and the sorted output are identical to the cursor path
-    /// — only the (invisible) work placement changes.
-    fn dispatch_affine<T, F>(&self, tasks: usize, work: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> (T, usize) + Sync,
-    {
-        let workers = self.threads.min(tasks);
-        if workers <= 1 {
-            // One worker owns every stripe; the cursor path is identical.
-            return self.dispatch(tasks, work);
-        }
-        let claimed: Vec<AtomicBool> = (0..tasks).map(|_| AtomicBool::new(false)).collect();
-        let run_worker = |w: usize, out: &mut Vec<(usize, T)>| -> ThreadStats {
-            let mut local = ThreadStats::default();
-            let stripe = (0..tasks).filter(|p| p % workers == w);
-            let steal = (0..tasks).filter(|p| p % workers != w);
-            for p in stripe.chain(steal) {
-                if claimed[p].swap(true, Ordering::Relaxed) {
-                    continue;
-                }
-                let start = Instant::now();
-                let (result, rows) = {
-                    let _morsel = telemetry::span("morsel");
-                    work(p)
-                };
-                local.busy += start.elapsed();
-                local.morsels += 1;
-                local.rows += rows as u64;
-                out.push((p, result));
-            }
-            local
-        };
-        let mut tagged: Vec<(usize, T)> = Vec::with_capacity(tasks);
-        let mut chunks: Vec<Vec<(usize, T)>> = Vec::new();
-        std::thread::scope(|scope| {
-            // Same discipline as `dispatch`: workers 1.. on spawned scoped
-            // threads, worker 0 is the calling thread.
-            let handles: Vec<_> = (1..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let s = run_worker(w, &mut out);
-                        telemetry::flush_thread();
-                        (out, s)
-                    })
-                })
-                .collect();
-            let mut own = Vec::new();
-            let own_stats = run_worker(0, &mut own);
-            chunks.push(own);
-            let mut stats = self.stats.lock().expect("pool stats poisoned");
-            stats[0].absorb(&own_stats);
-            for (w, h) in handles.into_iter().enumerate() {
-                let (out, s) = h.join().expect("pool worker panicked");
-                chunks.push(out);
-                stats[w + 1].absorb(&s);
-            }
-        });
-        for chunk in chunks {
-            tagged.extend(chunk);
-        }
-        tagged.sort_by_key(|(i, _)| *i);
-        tagged.into_iter().map(|(_, t)| t).collect()
-    }
 }
 
 #[cfg(test)]
@@ -419,9 +338,9 @@ mod tests {
 
     #[test]
     fn affine_partitions_cover_once_each_under_contention() {
-        // Slow partitions force overlap between the stripe walks and the
-        // steal sweeps; every partition must still run exactly once and
-        // come back in partition order.
+        // Slow partitions force several workers onto the cursor at once;
+        // every partition must still run exactly once and come back in
+        // partition order.
         use std::sync::atomic::AtomicU32;
         for threads in [2, 3, 4, 8] {
             let parts = 13;

@@ -178,51 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_refresh_is_bit_identical() {
-        // The sharded scan-delta path (hash-partitioned Added matching,
-        // merged back in id order) must agree with the serial refresh for
-        // every (threads, shards) pair — including batches big enough that
-        // every shard sees candidates.
-        let (mut db, plan) = star_db();
-        let r = db.voc.find_relation("R").unwrap();
-        let s = db.voc.find_relation("S").unwrap();
-        let mut serial = IncrementalView::new(&db, &plan).unwrap();
-        let mut sharded: Vec<(RefreshOptions, IncrementalView)> = [(1, 2), (4, 2), (4, 4)]
-            .into_iter()
-            .map(|(threads, shards)| {
-                (
-                    RefreshOptions::with_tuning(threads, shards),
-                    IncrementalView::new(&db, &plan).unwrap(),
-                )
-            })
-            .collect();
-        for round in 0..3u64 {
-            let mut batch = DeltaBatch::new();
-            for i in 0..40u64 {
-                let v = 1000 * (round + 1) + i;
-                batch
-                    .insert(r, vec![Value(v)], 0.2)
-                    .insert(s, vec![Value(v), Value(v + 1)], 0.6);
-            }
-            batch
-                .update(s, vec![Value(0), Value(100)], 0.05)
-                .delete(s, vec![Value(1), Value(201)]);
-            db.apply(&batch);
-            serial.refresh(&db, RefreshOptions::serial());
-            assert_matches_cold(&serial, &db, &plan);
-            for (opts, view) in &mut sharded {
-                view.refresh(&db, *opts);
-                assert_matches_cold(view, &db, &plan);
-                assert_eq!(
-                    serial.probability().to_bits(),
-                    view.probability().to_bits(),
-                    "round {round}, opts {opts:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn complement_scans_are_declined() {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), not T(x)").unwrap();

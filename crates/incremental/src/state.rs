@@ -26,7 +26,7 @@ use crate::keyed::{sorted_carrier, KeyedRel};
 use crate::view::RefreshCounters;
 use cq::{Atom, CompOp, Pred, RelId, Term, Value, Var};
 use exec_parallel::Pool;
-use pdb::{ChangeKind, ProbDb, ShardMap, TupleChange, TupleId};
+use pdb::{ChangeKind, ProbDb, TupleChange, TupleId};
 use safeplan::PlanNode;
 use std::collections::HashMap;
 use std::fmt;
@@ -240,23 +240,20 @@ impl Node {
 
     /// Propagate the net tuple changes through the subtree, updating every
     /// materialized output, and return the changes to this node's output.
-    #[allow(clippy::too_many_arguments)]
     pub fn refresh(
         &mut self,
         db: &ProbDb,
         net: &[(TupleId, RelId, NetChange)],
         pool: &Pool,
-        shards: usize,
         detail: DeltaDetail,
         counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
     ) -> OpDelta {
         match self {
             Node::Const(out) => OpDelta::empty(out.arity, out.kstride),
-            Node::Scan(s) => s.refresh(db, net, pool, shards, counters, shard_rows),
-            Node::Select(s) => s.refresh(db, net, pool, shards, detail, counters, shard_rows),
-            Node::Join(s) => s.refresh(db, net, pool, shards, detail, counters, shard_rows),
-            Node::Project(s) => s.refresh(db, net, pool, shards, detail, counters, shard_rows),
+            Node::Scan(s) => s.refresh(db, net, counters),
+            Node::Select(s) => s.refresh(db, net, pool, detail, counters),
+            Node::Join(s) => s.refresh(db, net, pool, detail, counters),
+            Node::Project(s) => s.refresh(db, net, pool, detail, counters),
         }
     }
 }
@@ -355,199 +352,53 @@ impl ScanState {
         }
     }
 
-    /// Match this relation's net-added ids against the compiled slots,
-    /// hash-partitioned over `shards` shards on the pool — the same
-    /// shard/merge stage as the DAG executor's sharded scans. Each shard
-    /// returns ascending positions into `ids` plus the survivor rows;
-    /// merging by position restores `net` order bit for bit.
-    #[allow(clippy::type_complexity)]
-    fn match_added_sharded(
-        &self,
-        db: &ProbDb,
-        ids: &[TupleId],
-        pool: &Pool,
-        shards: usize,
-    ) -> Vec<(Vec<u32>, Vec<Value>, Vec<f64>)> {
-        let map = ShardMap::new(shards);
-        let parts = map.split_positions(ids);
-        pool.map_partitions(parts.len(), |s| {
-            let mut pos: Vec<u32> = Vec::new();
-            let mut rows: Vec<Value> = Vec::new();
-            let mut probs: Vec<f64> = Vec::new();
-            let mut rowbuf = vec![Value(0); self.out.arity];
-            for &p in &parts[s] {
-                let t = db.tuple(ids[p as usize]);
-                if match_tuple(&self.slots, &t.args, &mut rowbuf) {
-                    pos.push(p);
-                    rows.extend_from_slice(&rowbuf);
-                    probs.push(t.prob);
-                }
-            }
-            (pos, rows, probs)
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn refresh(
         &mut self,
         db: &ProbDb,
         net: &[(TupleId, RelId, NetChange)],
-        pool: &Pool,
-        shards: usize,
         counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
     ) -> OpDelta {
-        if shard_rows.len() < shards.max(1) {
-            shard_rows.resize(shards.max(1), 0);
-        }
         let _span = telemetry::span("scan-delta");
         let mut delta = OpDelta::empty(self.out.arity, 1);
         let mut rem_keys: Vec<u64> = Vec::new();
-        if shards > 1 {
-            // Sharded candidate matching: collect this relation's added ids
-            // (ascending — `net` ascends), match per shard, merge ascending.
-            // Added rows only ever land in `delta.added`, so hoisting them
-            // out of the serial walk leaves the delta byte-identical.
-            let ids: Vec<TupleId> = net
-                .iter()
-                .filter(|&&(_, rel, change)| rel == self.rel && change == NetChange::Added)
-                .map(|&(id, _, _)| id)
-                .collect();
-            let outs = self.match_added_sharded(db, &ids, pool, shards);
-            for (s, out) in outs.iter().enumerate() {
-                shard_rows[s] += out.2.len() as u64;
+        let mut rowbuf = vec![Value(0); self.out.arity];
+        // `net` ascends by id, so each delta list comes out key-sorted —
+        // and every lookup can window past the previous hit.
+        let mut cursor = 0usize;
+        for &(id, rel, change) in net {
+            if rel != self.rel {
+                continue;
             }
-            let arity = self.out.arity;
-            let mut cursors = vec![0usize; outs.len()];
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for (s, out) in outs.iter().enumerate() {
-                    if cursors[s] < out.0.len() {
-                        let p = out.0[cursors[s]];
-                        if best.is_none_or(|(b, _)| p < b) {
-                            best = Some((p, s));
-                        }
+            let key = [u64::from(id.0)];
+            match change {
+                NetChange::Added => {
+                    let t = db.tuple(id);
+                    if match_tuple(&self.slots, &t.args, &mut rowbuf) {
+                        delta.added.push(&key, &rowbuf, t.prob);
                     }
                 }
-                let Some((p, s)) = best else { break };
-                let i = cursors[s];
-                cursors[s] += 1;
-                let key = [u64::from(ids[p as usize].0)];
-                delta
-                    .added
-                    .push(&key, &outs[s].1[i * arity..(i + 1) * arity], outs[s].2[i]);
-            }
-            // Sharded Removed/Updated matching, same discipline: the
-            // buffer lookups (the O(log n) part) run per shard over the
-            // *immutable* buffer — positions cannot move until the apply
-            // pass below and the `merge_added` at the end — then the
-            // mutations replay serially in merged ascending-id order, so
-            // the delta lists and buffer stay byte-identical to the
-            // serial walk's.
-            let touched: Vec<(TupleId, NetChange)> = net
-                .iter()
-                .filter(|&&(_, rel, change)| rel == self.rel && change != NetChange::Added)
-                .map(|&(id, _, change)| (id, change))
-                .collect();
-            let tids: Vec<TupleId> = touched.iter().map(|&(id, _)| id).collect();
-            let map = ShardMap::new(shards);
-            let parts = map.split_positions(&tids);
-            let out_ref = &self.out;
-            let hit_lists: Vec<Vec<(u32, usize)>> = pool.map_partitions(parts.len(), |s| {
-                let mut hits = Vec::new();
-                // Positions ascend within a shard, so each shard keeps
-                // its own monotonic window into the buffer.
-                let mut cursor = 0usize;
-                for &p in &parts[s] {
-                    let key = [u64::from(tids[p as usize].0)];
-                    let lb = out_ref.lower_bound_from(cursor, &key);
+                NetChange::Removed | NetChange::Updated => {
+                    let lb = self.out.lower_bound_from(cursor, &key);
                     cursor = lb;
-                    if lb < out_ref.len() && out_ref.key(lb) == key {
-                        hits.push((p, lb));
-                        cursor = lb + 1;
-                    }
-                }
-                hits
-            });
-            for (s, hits) in hit_lists.iter().enumerate() {
-                shard_rows[s] += hits.len() as u64;
-            }
-            let mut cursors = vec![0usize; hit_lists.len()];
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for (s, hits) in hit_lists.iter().enumerate() {
-                    if let Some(&(p, _)) = hits.get(cursors[s]) {
-                        if best.is_none_or(|(b, _)| p < b) {
-                            best = Some((p, s));
-                        }
-                    }
-                }
-                let Some((p, s)) = best else { break };
-                let lb = hit_lists[s][cursors[s]].1;
-                cursors[s] += 1;
-                let (id, change) = touched[p as usize];
-                let key = [u64::from(id.0)];
-                if change == NetChange::Removed {
-                    if self.defer_removals {
-                        // Tombstone: the parent learns through the delta;
-                        // the buffer stays fold-equivalent.
-                        delta
-                            .removed
-                            .push(&key, self.out.row(lb), self.out.probs[lb]);
-                        self.out.probs[lb] = 0.0;
-                        self.tombstones.push(key[0]);
-                    } else {
-                        rem_keys.extend_from_slice(&key);
-                    }
-                } else {
-                    let prob = db.tuple(id).prob;
-                    self.out.probs[lb] = prob;
-                    delta.updated.push(&key, self.out.row(lb), prob);
-                }
-            }
-        } else {
-            let mut rowbuf = vec![Value(0); self.out.arity];
-            // `net` ascends by id, so each delta list comes out key-sorted
-            // — and every lookup can window past the previous hit.
-            let mut cursor = 0usize;
-            for &(id, rel, change) in net {
-                if rel != self.rel {
-                    continue;
-                }
-                let key = [u64::from(id.0)];
-                match change {
-                    NetChange::Added => {
-                        let t = db.tuple(id);
-                        if match_tuple(&self.slots, &t.args, &mut rowbuf) {
-                            delta.added.push(&key, &rowbuf, t.prob);
-                            shard_rows[0] += 1;
-                        }
-                    }
-                    NetChange::Removed | NetChange::Updated => {
-                        let lb = self.out.lower_bound_from(cursor, &key);
-                        cursor = lb;
-                        if lb < self.out.len() && self.out.key(lb) == key {
-                            shard_rows[0] += 1;
-                            if change == NetChange::Removed {
-                                if self.defer_removals {
-                                    // Tombstone: the parent learns through
-                                    // the delta; the buffer stays
-                                    // fold-equivalent.
-                                    delta
-                                        .removed
-                                        .push(&key, self.out.row(lb), self.out.probs[lb]);
-                                    self.out.probs[lb] = 0.0;
-                                    self.tombstones.push(key[0]);
-                                } else {
-                                    rem_keys.extend_from_slice(&key);
-                                }
+                    if lb < self.out.len() && self.out.key(lb) == key {
+                        if change == NetChange::Removed {
+                            if self.defer_removals {
+                                // Tombstone: the parent learns through the
+                                // delta; the buffer stays fold-equivalent.
+                                delta
+                                    .removed
+                                    .push(&key, self.out.row(lb), self.out.probs[lb]);
+                                self.out.probs[lb] = 0.0;
+                                self.tombstones.push(key[0]);
                             } else {
-                                let p = db.tuple(id).prob;
-                                self.out.probs[lb] = p;
-                                delta.updated.push(&key, self.out.row(lb), p);
+                                rem_keys.extend_from_slice(&key);
                             }
-                            cursor = lb + 1;
+                        } else {
+                            let p = db.tuple(id).prob;
+                            self.out.probs[lb] = p;
+                            delta.updated.push(&key, self.out.row(lb), p);
                         }
+                        cursor = lb + 1;
                     }
                 }
             }
@@ -617,28 +468,19 @@ impl SelectState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn refresh(
         &mut self,
         db: &ProbDb,
         net: &[(TupleId, RelId, NetChange)],
         pool: &Pool,
-        shards: usize,
         detail: DeltaDetail,
         counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
     ) -> OpDelta {
         // A select must see full child updates to mirror probability
         // changes into its own buffer, whatever the parent asked for.
-        let d = self.child.refresh(
-            db,
-            net,
-            pool,
-            shards,
-            DeltaDetail::Full,
-            counters,
-            shard_rows,
-        );
+        let d = self
+            .child
+            .refresh(db, net, pool, DeltaDetail::Full, counters);
         let _span = telemetry::span("select-delta");
         let mut delta = OpDelta::empty(self.out.arity, self.out.kstride);
         if d.is_empty() {
@@ -1192,31 +1034,18 @@ impl JoinState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn refresh(
         &mut self,
         db: &ProbDb,
         net: &[(TupleId, RelId, NetChange)],
         pool: &Pool,
-        shards: usize,
         detail: DeltaDetail,
         counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
     ) -> OpDelta {
         let mut deltas: Vec<OpDelta> = self
             .children
             .iter_mut()
-            .map(|c| {
-                c.refresh(
-                    db,
-                    net,
-                    pool,
-                    shards,
-                    DeltaDetail::Full,
-                    counters,
-                    shard_rows,
-                )
-            })
+            .map(|c| c.refresh(db, net, pool, DeltaDetail::Full, counters))
             .collect();
         let _span = telemetry::span("join-delta");
         if let Some(out) = &self.fixed_out {
@@ -1419,16 +1248,13 @@ impl ProjectState {
             .expect("live child row's group exists")
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn refresh(
         &mut self,
         db: &ProbDb,
         net: &[(TupleId, RelId, NetChange)],
         pool: &Pool,
-        shards: usize,
         detail: DeltaDetail,
         counters: &mut RefreshCounters,
-        shard_rows: &mut Vec<u64>,
     ) -> OpDelta {
         // The Boolean group refolds over the whole child output, so the
         // child may elide its probability-update rows entirely.
@@ -1437,9 +1263,7 @@ impl ProjectState {
         } else {
             DeltaDetail::Full
         };
-        let d = self
-            .child
-            .refresh(db, net, pool, shards, want, counters, shard_rows);
+        let d = self.child.refresh(db, net, pool, want, counters);
         let _span = telemetry::span("project-delta");
         let mut delta = OpDelta::empty(self.out.arity, self.out.kstride);
         if d.is_empty() {

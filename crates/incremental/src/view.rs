@@ -4,7 +4,7 @@
 use crate::state::{coalesce, DeltaDetail, Node, Unsupported};
 use exec_parallel::{ExecStats, Pool, DEFAULT_GRAIN};
 use pdb::ProbDb;
-use safeplan::{PlanNode, ProbRelation, ShardStats};
+use safeplan::{PlanNode, ProbRelation};
 
 /// Tuning for one refresh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,13 +15,6 @@ pub struct RefreshOptions {
     pub threads: usize,
     /// Morsel grain; tests shrink it to force multi-morsel schedules.
     pub grain: usize,
-    /// Shard fan-out for scan-delta matching: net-added, net-removed and
-    /// net-updated tuples are all hash-partitioned by tuple id
-    /// ([`pdb::ShardMap`]) and matched/looked-up per shard, then merged
-    /// back in id order — the same shard/merge stage as the DAG
-    /// executor's sharded scans, and still bit-for-bit the serial
-    /// refresh. 1 = monolithic.
-    pub shards: usize,
 }
 
 impl RefreshOptions {
@@ -29,27 +22,17 @@ impl RefreshOptions {
         RefreshOptions {
             threads: 1,
             grain: DEFAULT_GRAIN,
-            shards: 1,
         }
     }
 
     pub fn with_threads(threads: usize) -> Self {
-        Self::with_tuning(threads, 1)
-    }
-
-    pub fn with_tuning(threads: usize, shards: usize) -> Self {
-        RefreshOptions {
-            threads: threads.max(1),
-            grain: DEFAULT_GRAIN,
-            shards: shards.max(1),
-        }
+        Self::with_grain(threads, DEFAULT_GRAIN)
     }
 
     pub fn with_grain(threads: usize, grain: usize) -> Self {
         RefreshOptions {
             threads: threads.max(1),
             grain: grain.max(1),
-            shards: 1,
         }
     }
 }
@@ -95,7 +78,7 @@ impl RefreshCounters {
 }
 
 /// Everything one refresh reports besides the view state itself: the
-/// delta-propagation counters plus the same pool/shard telemetry the DAG
+/// delta-propagation counters plus the same pool telemetry the DAG
 /// executor exposes, so the engine can surface a uniform counter set
 /// whether an evaluation re-executed or refreshed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -104,9 +87,6 @@ pub struct RefreshRun {
     pub counters: RefreshCounters,
     /// Per-worker morsel timings from the refresh pool.
     pub threads: ExecStats,
-    /// Scan-delta rows matched per shard (all in shard 0 when the plane
-    /// is monolithic). Empty for a no-op or full-rebuild refresh.
-    pub shards: ShardStats,
 }
 
 /// A cached safe plan with materialized per-operator state, kept in sync
@@ -187,7 +167,7 @@ impl IncrementalView {
     }
 
     /// [`IncrementalView::refresh`], also reporting the refresh pool's
-    /// per-worker timings and the scan-delta shard spread.
+    /// per-worker timings.
     pub fn refresh_run(&mut self, db: &ProbDb, opts: RefreshOptions) -> RefreshRun {
         let _span = telemetry::span("refresh");
         let mut run = RefreshRun::default();
@@ -211,26 +191,13 @@ impl IncrementalView {
                 coalesce(db.changes_since(self.synced))
             };
             let pool = Pool::with_grain(opts.threads, opts.grain);
-            let mut shard_rows = vec![0u64; opts.shards.max(1)];
             {
                 let _span = telemetry::span("propagate");
-                self.root.refresh(
-                    db,
-                    &net,
-                    &pool,
-                    opts.shards,
-                    DeltaDetail::Full,
-                    c,
-                    &mut shard_rows,
-                );
+                self.root.refresh(db, &net, &pool, DeltaDetail::Full, c);
             }
             c.incremental_refreshes = 1;
             c.rows_avoided = self.root.total_rows().saturating_sub(c.rows_retouched);
             run.threads = pool.stats();
-            run.shards = ShardStats {
-                shards: opts.shards.max(1),
-                rows: shard_rows,
-            };
         }
         self.synced = db.version();
         self.cumulative.absorb(&run.counters);

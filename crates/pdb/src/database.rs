@@ -1,7 +1,6 @@
 //! The tuple-independent probabilistic structure `(A, p)`.
 
 use crate::delta::{AppliedDelta, ChangeKind, DeltaBatch, DeltaOp, TupleChange};
-use crate::shard::ShardMap;
 use cq::{Query, RelId, Value, Vocabulary};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -15,38 +14,6 @@ pub struct ProbTuple {
     pub rel: RelId,
     pub args: Vec<Value>,
     pub prob: f64,
-}
-
-/// One relation's resident rows inside one shard: a contiguous columnar
-/// buffer with the same invariants as `safeplan`'s flat relations —
-/// `data.len() == ids.len() * arity` (row `i` occupies
-/// `data[i*arity .. (i+1)*arity]`), `probs` parallel to `ids`, and `ids`
-/// strictly ascending (insertion appends monotonically increasing ids;
-/// deletion splices whole rows, preserving order).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ShardColumn {
-    /// Tuple ids of the resident rows, ascending.
-    pub ids: Vec<TupleId>,
-    /// Row values, `ids.len() * arity`, row-major with the relation's
-    /// arity as stride.
-    pub data: Vec<Value>,
-    /// Marginal probabilities, parallel to `ids` (the `f64` mirror of
-    /// tuple storage; exact-rational readers index their own probability
-    /// vectors by tuple id).
-    pub probs: Vec<f64>,
-}
-
-/// One shard's resident storage: per-relation columnar buffers plus this
-/// shard's slice of every `(relation, column, value)` posting list. All
-/// id lists are ascending, so a k-way merge of per-shard scan outputs by
-/// tuple id reproduces the monolithic scan order bit for bit.
-#[derive(Clone, Debug, Default)]
-struct ShardSlab {
-    /// Relation → resident columnar rows owned by this shard.
-    by_rel: HashMap<RelId, ShardColumn>,
-    /// `(relation, column, value)` → owned tuple ids holding `value` in
-    /// that column, ascending — the shard-local constant-pushdown lists.
-    cols: HashMap<(RelId, u32, Value), Vec<TupleId>>,
 }
 
 /// A tuple-independent probabilistic structure (§1): a finite first-order
@@ -93,19 +60,6 @@ pub struct ProbDb {
     /// The version immediately before the oldest retained log entry: the
     /// log can replay any view synced at `version >= logged_from`.
     logged_from: u64,
-    /// The storage-level shard layout. 1 (the default) keeps the database
-    /// monolithic; `> 1` keeps per-shard resident buffers and posting
-    /// lists (`resident`) maintained alongside the global indexes, with
-    /// ownership fixed by [`ShardMap::shard_of`] over tuple ids.
-    layout: ShardMap,
-    /// Per-shard resident storage, `layout.shards()` slabs when the
-    /// layout is sharded, empty when monolithic.
-    resident: Vec<ShardSlab>,
-    /// Per-shard version stamps, parallel to `resident`: the database
-    /// version at which each shard last changed. A reader synced at
-    /// version `v` can skip any shard with `shard_versions[s] <= v` —
-    /// deltas propagate shard-locally.
-    shard_versions: Vec<u64>,
 }
 
 /// Applied batches retained in the delta log; older entries are dropped
@@ -136,9 +90,6 @@ impl Clone for ProbDb {
             version: self.version,
             log: self.log.clone(),
             logged_from: self.logged_from,
-            layout: self.layout,
-            resident: self.resident.clone(),
-            shard_versions: self.shard_versions.clone(),
         }
     }
 }
@@ -192,9 +143,6 @@ impl ProbDb {
             version: 0,
             log: VecDeque::new(),
             logged_from: 0,
-            layout: ShardMap::new(1),
-            resident: Vec::new(),
-            shard_versions: Vec::new(),
         }
     }
 
@@ -241,11 +189,7 @@ impl ProbDb {
         );
         let h = content_hash(rel, &args);
         if let Some(id) = self.lookup_hashed(h, rel, &args) {
-            let changed = self.tuples[id.0 as usize].prob.to_bits() != prob.to_bits();
             self.tuples[id.0 as usize].prob = prob;
-            if changed {
-                self.resident_overwrite(id, prob);
-            }
             return (id, false);
         }
         let id = TupleId(self.tuples.len() as u32);
@@ -256,7 +200,6 @@ impl ProbDb {
         }
         self.tuples.push(ProbTuple { rel, args, prob });
         self.dead.push(false);
-        self.resident_insert(id);
         (id, true)
     }
 
@@ -289,95 +232,7 @@ impl ProbDb {
         // the indexes (brute force, lineage) sees `p = 0`.
         t.prob = 0.0;
         self.dead[id.0 as usize] = true;
-        self.resident_delete(id);
         Some((id, old_prob))
-    }
-
-    /// Mirror a fresh tuple into its owning shard's resident buffers and
-    /// stamp the shard with the post-mutation version (the callers —
-    /// out-of-band wrappers and [`ProbDb::apply`] — bump the global
-    /// version exactly once after their inner kernels run).
-    fn resident_insert(&mut self, id: TupleId) {
-        if self.resident.is_empty() {
-            return;
-        }
-        let owner = self.layout.shard_of(id);
-        let ProbDb {
-            tuples,
-            resident,
-            shard_versions,
-            version,
-            ..
-        } = self;
-        let t = &tuples[id.0 as usize];
-        let slab = &mut resident[owner];
-        let col = slab.by_rel.entry(t.rel).or_default();
-        col.ids.push(id);
-        col.data.extend_from_slice(&t.args);
-        col.probs.push(t.prob);
-        for (pos, &v) in t.args.iter().enumerate() {
-            slab.cols
-                .entry((t.rel, pos as u32, v))
-                .or_default()
-                .push(id);
-        }
-        shard_versions[owner] = *version + 1;
-    }
-
-    /// Mirror a probability overwrite into the owning shard's resident
-    /// probability column (posting lists and row values are untouched,
-    /// exactly like the global indexes).
-    fn resident_overwrite(&mut self, id: TupleId, prob: f64) {
-        if self.resident.is_empty() {
-            return;
-        }
-        let owner = self.layout.shard_of(id);
-        let rel = self.tuples[id.0 as usize].rel;
-        let col = self.resident[owner]
-            .by_rel
-            .get_mut(&rel)
-            .expect("resident rows for an owned tuple");
-        let at = col.ids.binary_search(&id).expect("resident row present");
-        col.probs[at] = prob;
-        self.shard_versions[owner] = self.version + 1;
-    }
-
-    /// Splice a deleted tuple out of its owning shard: remove the whole
-    /// resident row (ids, value stride, probability) and the id from every
-    /// shard-local posting list — ascending order preserved throughout, so
-    /// per-shard lists stay exactly the ownership-filtered global lists.
-    fn resident_delete(&mut self, id: TupleId) {
-        if self.resident.is_empty() {
-            return;
-        }
-        let owner = self.layout.shard_of(id);
-        let ProbDb {
-            tuples,
-            resident,
-            shard_versions,
-            version,
-            ..
-        } = self;
-        let t = &tuples[id.0 as usize];
-        let slab = &mut resident[owner];
-        let col = slab
-            .by_rel
-            .get_mut(&t.rel)
-            .expect("resident rows for an owned tuple");
-        let at = col.ids.binary_search(&id).expect("resident row present");
-        let arity = t.args.len();
-        col.ids.remove(at);
-        col.data.drain(at * arity..(at + 1) * arity);
-        col.probs.remove(at);
-        for (pos, &v) in t.args.iter().enumerate() {
-            let key = (t.rel, pos as u32, v);
-            let list = slab.cols.get_mut(&key).expect("shard posting list");
-            remove_ascending(list, id);
-            if list.is_empty() {
-                slab.cols.remove(&key);
-            }
-        }
-        shard_versions[owner] = *version + 1;
     }
 
     fn bump_out_of_band(&mut self) {
@@ -524,116 +379,6 @@ impl ProbDb {
         self.cols
             .get(&(rel, col as u32, value))
             .map_or(&[], |v| v.as_slice())
-    }
-
-    /// Configure the storage-level shard layout: `shards > 1` builds (or
-    /// rebuilds) per-shard resident columnar buffers and posting lists
-    /// from the global indexes; `1` drops them and the database is
-    /// monolithic again. Ownership is [`ShardMap::shard_of`] over tuple
-    /// ids — the same splitmix64 partition every executor uses — so each
-    /// per-shard list is exactly the ownership filter of its global list.
-    /// Purely a physical re-layout: no version bump, and every evaluator
-    /// returns bit-for-bit the same results as on the monolithic layout.
-    pub fn set_shard_layout(&mut self, shards: usize) {
-        let shards = shards.max(1);
-        self.layout = ShardMap::new(shards);
-        self.resident.clear();
-        if shards == 1 {
-            self.shard_versions.clear();
-            return;
-        }
-        self.resident.resize_with(shards, ShardSlab::default);
-        self.shard_versions = vec![self.version; shards];
-        let ProbDb {
-            tuples,
-            by_rel,
-            cols,
-            resident,
-            layout,
-            ..
-        } = self;
-        for (&rel, ids) in by_rel.iter() {
-            for &id in ids {
-                let t = &tuples[id.0 as usize];
-                let col = resident[layout.shard_of(id)].by_rel.entry(rel).or_default();
-                col.ids.push(id);
-                col.data.extend_from_slice(&t.args);
-                col.probs.push(t.prob);
-            }
-        }
-        for (&key, list) in cols.iter() {
-            for &id in list {
-                resident[layout.shard_of(id)]
-                    .cols
-                    .entry(key)
-                    .or_default()
-                    .push(id);
-            }
-        }
-    }
-
-    /// The number of shards in the storage layout (1 = monolithic, no
-    /// resident buffers kept).
-    pub fn shard_layout(&self) -> usize {
-        self.layout.shards()
-    }
-
-    /// The shard map fixing tuple ownership under the current layout.
-    pub fn shard_map(&self) -> ShardMap {
-        self.layout
-    }
-
-    /// The database version at which `shard` last changed (the version at
-    /// layout-build time if untouched since). A reader synced at version
-    /// `v` can skip every shard with `shard_version(shard) <= v`.
-    ///
-    /// # Panics
-    /// If the layout is monolithic or `shard` is out of range.
-    pub fn shard_version(&self, shard: usize) -> u64 {
-        self.shard_versions[shard]
-    }
-
-    /// Ids of the tuples of `rel` owned by `shard`, ascending — exactly
-    /// the ownership filter of [`ProbDb::tuples_of`], resolved inside the
-    /// shard without a global-index probe.
-    ///
-    /// # Panics
-    /// If the layout is monolithic or `shard` is out of range.
-    pub fn shard_tuples_of(&self, shard: usize, rel: RelId) -> &[TupleId] {
-        self.resident[shard]
-            .by_rel
-            .get(&rel)
-            .map_or(&[], |c| c.ids.as_slice())
-    }
-
-    /// The shard-local constant-pushdown posting list: ids of the tuples
-    /// of `rel` owned by `shard` whose column `col` holds `value`,
-    /// ascending — exactly the ownership filter of
-    /// [`ProbDb::tuples_with`], resolved without touching the global
-    /// index.
-    ///
-    /// # Panics
-    /// If the layout is monolithic or `shard` is out of range.
-    pub fn shard_tuples_with(
-        &self,
-        shard: usize,
-        rel: RelId,
-        col: usize,
-        value: Value,
-    ) -> &[TupleId] {
-        self.resident[shard]
-            .cols
-            .get(&(rel, col as u32, value))
-            .map_or(&[], |v| v.as_slice())
-    }
-
-    /// The resident columnar rows of `rel` owned by `shard`, if the shard
-    /// holds any.
-    ///
-    /// # Panics
-    /// If the layout is monolithic or `shard` is out of range.
-    pub fn shard_resident(&self, shard: usize, rel: RelId) -> Option<&ShardColumn> {
-        self.resident[shard].by_rel.get(&rel)
     }
 
     /// Look up a tuple id by content.
@@ -857,109 +602,6 @@ mod tests {
         for &id in db.tuples_of(r) {
             assert!(db.is_live(id));
         }
-    }
-
-    /// The shard-resident oracle: for every shard, the per-shard posting
-    /// lists and relation lists must equal the ownership-filtered global
-    /// lists and stay ascending, and the resident columnar buffers must
-    /// mirror tuple storage (stride invariant included) — under bulk
-    /// load, delta splice, tombstoning, and probability overwrites.
-    #[test]
-    fn shard_resident_storage_matches_filtered_global_indexes() {
-        use crate::delta::DeltaBatch;
-        for shards in [2usize, 3, 7] {
-            let (mut db, r) = setup();
-            let mut batch = DeltaBatch::new();
-            for i in 0..40u64 {
-                batch.insert(r, vec![Value(i % 5), Value(i % 3)], 0.5);
-            }
-            db.apply(&batch);
-            db.set_shard_layout(shards);
-            assert_eq!(db.shard_layout(), shards);
-            let check = |db: &ProbDb| {
-                let map = db.shard_map();
-                for s in 0..shards {
-                    let want: Vec<TupleId> = db
-                        .tuples_of(r)
-                        .iter()
-                        .copied()
-                        .filter(|&id| map.shard_of(id) == s)
-                        .collect();
-                    assert_eq!(db.shard_tuples_of(s, r), want.as_slice(), "shard {s}");
-                    for col in 0..2usize {
-                        for v in 0..10u64 {
-                            let want: Vec<TupleId> = db
-                                .tuples_with(r, col, Value(v))
-                                .iter()
-                                .copied()
-                                .filter(|&id| map.shard_of(id) == s)
-                                .collect();
-                            let got = db.shard_tuples_with(s, r, col, Value(v));
-                            assert_eq!(got, want.as_slice(), "shard {s} col {col} v {v}");
-                            assert!(got.windows(2).all(|w| w[0] < w[1]), "ascending");
-                        }
-                    }
-                    if let Some(colrel) = db.shard_resident(s, r) {
-                        assert_eq!(colrel.data.len(), colrel.ids.len() * 2, "stride");
-                        assert_eq!(colrel.probs.len(), colrel.ids.len());
-                        for (i, &id) in colrel.ids.iter().enumerate() {
-                            let t = db.tuple(id);
-                            assert_eq!(&colrel.data[i * 2..(i + 1) * 2], t.args.as_slice());
-                            assert_eq!(colrel.probs[i].to_bits(), t.prob.to_bits());
-                        }
-                    }
-                }
-            };
-            check(&db);
-            // Delta splice/tombstone + overwrite, then re-check the oracle.
-            let mut b2 = DeltaBatch::new();
-            b2.delete(r, vec![Value(1), Value(1)])
-                .update(r, vec![Value(2), Value(2)], 0.9)
-                .insert(r, vec![Value(1), Value(1)], 0.3)
-                .delete(r, vec![Value(0), Value(0)])
-                .insert(r, vec![Value(9), Value(0)], 0.4);
-            db.apply(&b2);
-            check(&db);
-            // Out-of-band mutations maintain the resident layout too.
-            db.insert(r, vec![Value(8), Value(8)], 0.6);
-            db.delete(r, &[Value(2), Value(2)]);
-            check(&db);
-        }
-    }
-
-    /// Per-shard version stamps: the layout build stamps every shard at
-    /// the current version; a mutation re-stamps only the owning shard, so
-    /// shard-local readers can skip untouched shards.
-    #[test]
-    fn shard_versions_stamp_only_touched_shards() {
-        use crate::delta::DeltaBatch;
-        let (mut db, r) = setup();
-        let mut batch = DeltaBatch::new();
-        for i in 0..32u64 {
-            batch.insert(r, vec![Value(i), Value(i)], 0.5);
-        }
-        db.apply(&batch);
-        db.set_shard_layout(4);
-        let v0 = db.version();
-        for s in 0..4 {
-            assert_eq!(db.shard_version(s), v0);
-        }
-        // Update one existing tuple: exactly its owner re-stamps.
-        let id = db.find(r, &[Value(3), Value(3)]).expect("present");
-        let owner = db.shard_map().shard_of(id);
-        let mut b2 = DeltaBatch::new();
-        b2.update(r, vec![Value(3), Value(3)], 0.25);
-        let v1 = db.apply(&b2);
-        for s in 0..4 {
-            let want = if s == owner { v1 } else { v0 };
-            assert_eq!(db.shard_version(s), want, "shard {s}");
-        }
-        // An identical-probability overwrite changes nothing, stamps
-        // nothing.
-        let mut b3 = DeltaBatch::new();
-        b3.update(r, vec![Value(3), Value(3)], 0.25);
-        db.apply(&b3);
-        assert_eq!(db.shard_version(owner), v1);
     }
 
     #[test]

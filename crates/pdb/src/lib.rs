@@ -30,12 +30,11 @@ pub mod eval;
 pub mod exact;
 pub mod generators;
 pub mod lineage_ext;
-pub mod shard;
 pub mod text;
 pub mod worlds;
 
 pub use bid::{BidDb, Block};
-pub use database::{ProbDb, ProbTuple, ShardColumn, TupleId, MAX_DELTA_LOG};
+pub use database::{ProbDb, ProbTuple, TupleId, MAX_DELTA_LOG};
 pub use delta::{AppliedDelta, ChangeKind, DeltaBatch, DeltaOp, TupleChange};
 pub use epoch::{EpochStore, ReaderHandle, MAX_READERS};
 pub use eval::{all_valuations, satisfies, Valuation};
@@ -43,7 +42,6 @@ pub use exact::{
     brute_force_probability_exact, count_satisfying_worlds_exact, exact_query_probability, RatProbs,
 };
 pub use lineage_ext::{lineage_of, lineages_by_head};
-pub use shard::ShardMap;
 pub use text::{
     dump_db, dump_db_exact, load_db, load_db_exact, parse_delta_batches, parse_rational, DeltaPos,
     TextError,

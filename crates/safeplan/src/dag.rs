@@ -1,14 +1,14 @@
-//! Plan-level pipelining over a sharded data plane.
+//! Plan-level pipelining: safe plans as operator-task DAGs.
 //!
-//! The [`par`](crate::par) module parallelizes *inside* one operator and
-//! still walks the plan tree serially: a join's build input fully
-//! materializes before its probe input starts. This module removes that
-//! barrier. [`dag_execute`] decomposes a [`PlanNode`] tree into a
-//! dependency DAG of **operator tasks** and hands it to
-//! [`exec_parallel::run_dag`]: independent subtrees (the inputs of an
-//! independent join) evaluate concurrently, each task nests morsel
-//! dispatches on the shared [`Pool`], and every task's output lands in a
-//! pre-assigned slot so downstream stitching is deterministic.
+//! The [`par`](crate::par) kernels parallelize *inside* one operator; this
+//! module schedules whole operators, so a join's build input need not
+//! fully materialize before its probe input starts. [`dag_execute`]
+//! decomposes a [`PlanNode`] tree into a dependency DAG of **operator
+//! tasks** and hands it to [`exec_parallel::run_dag`]: independent
+//! subtrees (the inputs of an independent join) evaluate concurrently,
+//! each task nests morsel dispatches on the shared [`Pool`], and every
+//! task's output lands in a pre-assigned slot so downstream stitching is
+//! deterministic.
 //!
 //! ## Task decomposition
 //!
@@ -33,41 +33,23 @@
 //! estimate-driven choices and [`OpCounters::est_build_overrides`] how
 //! many disagreed with the materialized-row-count rule.
 //!
-//! ## Sharded scans
+//! ## Scans
 //!
-//! With [`DagOptions::shards`] `> 1`, scan tasks run one kernel per shard
-//! and k-way-merge the per-shard outputs back into the exact monolithic
-//! row order — same rows, same order, same bits. Two data planes feed
-//! that merge:
+//! Scan tasks are plain morsel scans: the task resolves its tuple-id list
+//! once (the smallest constant-pushdown posting list, or the whole
+//! relation) and fans it out over the pool with
+//! [`Pool::map_morsels`](exec_parallel::Pool::map_morsels). Morsels are
+//! claimed from a shared cursor, so a skewed relation never idles a
+//! worker behind a fixed partition, and stitching the chunks in morsel
+//! order reproduces the serial scan exactly. Complement scans fan out the
+//! same way over their generated bindings.
 //!
-//! * **Shard-resident** (`db.shard_layout() == shards`): the scan
-//!   resolves against per-shard posting lists and reads rows off each
-//!   shard's resident columnar buffer ([`scan_column_keyed`]) — zero
-//!   global-index probes, no split step — and the merge keys are tuple
-//!   ids (global scan order *is* ascending-id order).
-//! * **Split-derived** (no matching layout): the global id list is
-//!   hash-partitioned through [`pdb::ShardMap`] on the fly and
-//!   [`scan_rows_at`](crate::exec) reports which original positions
-//!   survived; the merge keys are those positions.
-//!
-//! When the pool is inline (one worker), the resident plane fuses the
-//! k-way id merge into the scan itself ([`scan_columns_merged`]) — one
-//! pass over the resident buffers, no per-shard materialization, same
-//! rows in the same ascending-id order. Complement scans stay monolithic
-//! (their rows are generated bindings with no tuple ids). Independent
-//! projects fan groups out over `shards × threads` partitions; the
-//! first-seen-row merge is partition-count invariant, so the fan-out
-//! never perturbs a bit.
-//!
-//! The invariant pinned by `tests/sharded_agreement.rs` and the in-crate
-//! tests below: for every plan, database, thread count, shard count, and
-//! scheduler picker, the DAG executor returns **bit-for-bit** the serial
-//! executor's relation.
+//! The invariant pinned by `tests/parallel_agreement.rs` and the in-crate
+//! tests below: for every plan, database, thread count, and scheduler
+//! picker, the DAG executor returns **bit-for-bit** the serial executor's
+//! relation.
 
-use crate::exec::{
-    complement_rows, scan_column_keyed, scan_columns_merged, scan_rows, scan_rows_at,
-    scan_rows_keyed, ComplementSpec, OpCounters, ScanSpec, ShardScanSpec,
-};
+use crate::exec::{complement_rows, scan_rows, ComplementSpec, OpCounters, ScanSpec};
 use crate::node::PlanNode;
 use crate::optimize::{columns, estimate_rows};
 use crate::par::{par_join_sided, par_project_parts, par_select};
@@ -75,7 +57,7 @@ use crate::relation::{choose_build_side, stitch_columnar, BuildSide, ProbRelatio
 use cq::{Pred, Value, Var};
 use exec_parallel::{run_dag_with_picker, DagSlots, DagStats, ExecStats, Pool, DEFAULT_GRAIN};
 use lineage::ProbValue;
-use pdb::{ProbDb, ShardMap};
+use pdb::ProbDb;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -87,28 +69,20 @@ pub struct DagOptions {
     pub threads: usize,
     /// Morsel size in rows for the nested intra-operator dispatches.
     pub grain: usize,
-    /// Shard fan-out of the data plane (1 = monolithic). Callers wanting
-    /// the cost model's opinion gate their request through
-    /// [`crate::optimize::plan_shard_fanout`] first; the executor runs
-    /// whatever fan-out it is handed.
-    pub shards: usize,
 }
 
 impl DagOptions {
-    pub fn new(threads: usize, shards: usize) -> Self {
+    pub fn new(threads: usize) -> Self {
         DagOptions {
             threads,
             grain: DEFAULT_GRAIN,
-            shards,
         }
     }
 
-    pub fn with_grain(threads: usize, shards: usize, grain: usize) -> Self {
-        DagOptions {
-            threads,
-            grain,
-            shards,
-        }
+    /// Tests use tiny grains to force multi-morsel schedules on small
+    /// inputs.
+    pub fn with_grain(threads: usize, grain: usize) -> Self {
+        DagOptions { threads, grain }
     }
 
     /// The morsel pool this configuration describes.
@@ -119,18 +93,8 @@ impl DagOptions {
 
 impl Default for DagOptions {
     fn default() -> Self {
-        DagOptions::new(1, 1)
+        DagOptions::new(1)
     }
-}
-
-/// How the sharded data plane spread one execution's scan output.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Fan-out the execution ran with (1 = monolithic plane).
-    pub shards: usize,
-    /// Scan-output rows per shard, summed over every sharded scan. All in
-    /// shard 0 when the plane is monolithic.
-    pub rows: Vec<u64>,
 }
 
 /// Everything a DAG execution reports besides the relation itself.
@@ -140,8 +104,6 @@ pub struct DagRun {
     pub threads: ExecStats,
     /// Task-schedule shape: ready/running peaks and subtree overlap.
     pub sched: DagStats,
-    /// Per-shard row spread of the data plane.
-    pub shards: ShardStats,
 }
 
 /// One schedulable unit of a decomposed plan.
@@ -167,13 +129,12 @@ enum Post<'p> {
     Project(&'p [Var]),
 }
 
-/// What one task hands downstream: its relation plus the counters and
-/// per-shard row counts it accrued (merged by the coordinator after the
-/// schedule drains — tasks never share mutable state).
+/// What one task hands downstream: its relation plus the counters it
+/// accrued (merged by the coordinator after the schedule drains — tasks
+/// never share mutable state).
 struct TaskOut<P> {
     rel: ProbRelation<P>,
     counters: OpCounters,
-    shard_rows: Vec<u64>,
 }
 
 /// Flatten `plan` into `tasks`/`deps`, children before parents (so every
@@ -258,84 +219,26 @@ fn decompose<'p>(
     tasks.len() - 1
 }
 
-/// Evaluate a leaf node, sharding scan tasks over `map` when the plane is
-/// partitioned.
+/// Evaluate a leaf node, fanning scans out over the pool in morsels.
 fn leaf_rel<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
     node: &PlanNode,
     pool: &Pool,
-    map: ShardMap,
     counters: &mut OpCounters,
-    shard_rows: &mut [u64],
 ) -> ProbRelation<P> {
     match node {
         PlanNode::Certain => ProbRelation::certain(),
         PlanNode::Never => ProbRelation::never(),
         PlanNode::Scan { atom } => {
-            if map.shards() > 1 && db.shard_layout() == map.shards() {
-                // Shard-resident path: the scan resolves against the
-                // per-shard posting lists (zero global-index probes) and
-                // full scans read straight off each shard's resident
-                // columnar buffer. Keys are tuple ids — global scan order
-                // *is* ascending-id order, so the id merge reproduces the
-                // monolithic output exactly.
-                let scan = ShardScanSpec::new(db, atom, map.shards(), counters);
-                if !scan.pushdown && pool.threads() == 1 {
-                    // Inline pool: nothing scans concurrently, so fuse the
-                    // k-way id merge into the scan itself — one pass over
-                    // the resident buffers writing survivors straight into
-                    // the output, no per-shard materialization.
-                    let resident: Vec<_> = (0..map.shards())
-                        .map(|s| db.shard_resident(s, atom.rel))
-                        .collect();
-                    return scan_columns_merged(
-                        &resident, probs, &scan.plan, scan.cols, shard_rows,
-                    );
-                }
-                let outs = pool.map_partitions(map.shards(), |s| {
-                    if scan.pushdown {
-                        scan_rows_keyed(db, probs, &scan.plan, scan.shard_ids[s])
-                    } else {
-                        match db.shard_resident(s, atom.rel) {
-                            Some(col) => scan_column_keyed(col, probs, &scan.plan),
-                            None => Default::default(),
-                        }
-                    }
-                });
-                for (s, o) in outs.iter().enumerate() {
-                    shard_rows[s] += o.1.len() as u64;
-                }
-                merge_shard_scans(scan.cols, outs)
-            } else {
-                let scan = ScanSpec::new(db, atom, counters);
-                if map.shards() <= 1 {
-                    let chunks = pool.map_morsels(scan.ids.len(), |r| {
-                        scan_rows(db, probs, &scan.plan, &scan.ids[r])
-                    });
-                    let (data, out) = stitch_columnar(chunks);
-                    shard_rows[0] += out.len() as u64;
-                    ProbRelation::from_parts(scan.cols, data, out)
-                } else {
-                    // No resident layout: hash-partition the global id
-                    // list on the fly. One kernel per shard over that
-                    // shard's (ascending) positions into the id list; the
-                    // k-way merge by original position restores the
-                    // monolithic row order exactly.
-                    let parts = map.split_positions(scan.ids);
-                    let outs = pool.map_partitions(map.shards(), |s| {
-                        scan_rows_at(db, probs, &scan.plan, scan.ids, &parts[s])
-                    });
-                    for (s, o) in outs.iter().enumerate() {
-                        shard_rows[s] += o.1.len() as u64;
-                    }
-                    merge_shard_scans(scan.cols, outs)
-                }
-            }
+            let scan = ScanSpec::new(db, atom, counters);
+            let chunks = pool.map_morsels(scan.ids.len(), |r| {
+                scan_rows(db, probs, &scan.plan, &scan.ids[r])
+            });
+            let (data, out) = stitch_columnar(chunks);
+            ProbRelation::from_parts(scan.cols, data, out)
         }
         PlanNode::ComplementScan { atom } => {
-            // Complement rows are generated bindings with no tuple ids —
-            // nothing to shard; morsel parallelism still applies.
             let spec = ComplementSpec::new(db, atom, counters);
             let chunks = pool.map_morsels(spec.total, |r| complement_rows(db, probs, &spec, r));
             let (data, out) = stitch_columnar(chunks);
@@ -345,49 +248,9 @@ fn leaf_rel<P: ProbValue + Send + Sync>(
     }
 }
 
-/// Merge per-shard scan outputs by ascending original position — the
-/// selection merge over at most `shards` cursors that makes sharding
-/// invisible in the output.
-fn merge_shard_scans<P: ProbValue>(
-    cols: Vec<Var>,
-    outs: Vec<(Vec<Value>, Vec<P>, Vec<u32>)>,
-) -> ProbRelation<P> {
-    let _span = telemetry::span("merge");
-    // Fast path: at most one shard produced rows (fan-out 1, or all
-    // survivors hashed to one shard) — its buffer already *is* the merged
-    // output, so adopt it wholesale instead of walking cursors.
-    if outs.iter().filter(|o| !o.1.is_empty()).count() <= 1 {
-        return match outs.into_iter().find(|o| !o.1.is_empty()) {
-            Some((data, probs, _)) => ProbRelation::from_parts(cols, data, probs),
-            None => ProbRelation::with_capacity(cols, 0),
-        };
-    }
-    let arity = cols.len();
-    let total: usize = outs.iter().map(|o| o.1.len()).sum();
-    let mut out = ProbRelation::with_capacity(cols, total);
-    let mut cur = vec![0usize; outs.len()];
-    loop {
-        let mut best: Option<(u32, usize)> = None;
-        for (s, o) in outs.iter().enumerate() {
-            if let Some(&pos) = o.2.get(cur[s]) {
-                if best.is_none_or(|(b, _)| pos < b) {
-                    best = Some((pos, s));
-                }
-            }
-        }
-        let Some((_, s)) = best else {
-            return out;
-        };
-        let i = cur[s];
-        out.push(&outs[s].0[i * arity..(i + 1) * arity], outs[s].1[i].clone());
-        cur[s] += 1;
-    }
-}
-
-/// Execute `plan` as an operator DAG over the (possibly sharded) data
-/// plane. Returns exactly what [`crate::execute`] returns — same rows,
-/// same order, same bits — for every thread count, shard count, and
-/// schedule.
+/// Execute `plan` as an operator DAG. Returns exactly what
+/// [`crate::execute`] returns — same rows, same order, same bits — for
+/// every thread count and schedule.
 pub fn dag_execute<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
@@ -398,7 +261,7 @@ pub fn dag_execute<P: ProbValue + Send + Sync>(
 }
 
 /// [`dag_execute`] accumulating [`OpCounters`] and reporting the schedule
-/// and shard shape. Per-task counters are absorbed in task order after the
+/// shape. Per-task counters are absorbed in task order after the
 /// schedule drains, so the totals are deterministic (and, for the fields
 /// the serial executor maintains, equal to its totals).
 pub fn dag_execute_counted<P: ProbValue + Send + Sync>(
@@ -428,8 +291,6 @@ where
     PK: Fn(&[usize]) -> usize + Sync,
 {
     assert_eq!(probs.len(), db.num_tuples(), "probability vector length");
-    let fanout = opts.shards.max(1);
-    let map = ShardMap::new(fanout);
     let pool = opts.pool();
     let mut tasks: Vec<Task<'_>> = Vec::new();
     let mut deps: Vec<Vec<usize>> = Vec::new();
@@ -444,7 +305,6 @@ where
         picker,
         |t, slots: DagSlots<'_, TaskOut<P>>| {
             let mut c = OpCounters::default();
-            let mut shard_rows = vec![0u64; fanout];
             let mut rel = match &tasks[t] {
                 Task::Unit => ProbRelation::certain(),
                 Task::Leaf(node) => {
@@ -454,7 +314,7 @@ where
                         _ => "leaf",
                     });
                     let t0 = Instant::now();
-                    let out = leaf_rel(db, probs, node, &pool, map, &mut c, &mut shard_rows);
+                    let out = leaf_rel(db, probs, node, &pool, &mut c);
                     match node {
                         PlanNode::ComplementScan { .. } => {
                             c.times.complement_ns += t0.elapsed().as_nanos() as u64;
@@ -501,37 +361,24 @@ where
                     Post::Project(keep) => {
                         let _span = telemetry::span("project");
                         let t0 = Instant::now();
-                        rel = par_project_parts(&rel, keep, &pool, fanout * pool.threads());
+                        rel = par_project_parts(&rel, keep, &pool, pool.threads());
                         c.groups += rel.len() as u64;
                         c.times.project_ns += t0.elapsed().as_nanos() as u64;
                     }
                 }
             }
-            TaskOut {
-                rel,
-                counters: c,
-                shard_rows,
-            }
+            TaskOut { rel, counters: c }
         },
     );
     sched.inlined = inlined;
 
-    let mut shards = ShardStats {
-        shards: fanout,
-        rows: vec![0; fanout],
-    };
     for o in &outs {
         counters.absorb(&o.counters);
-        for (s, r) in o.shard_rows.iter().enumerate() {
-            shards.rows[s] += r;
-        }
     }
-    counters.shard_fanout = counters.shard_fanout.max(fanout as u64);
     let rel = outs.swap_remove(root).rel;
     let run = DagRun {
         threads: pool.stats(),
         sched,
-        shards,
     };
     (rel, run)
 }
@@ -570,7 +417,7 @@ pub fn dag_ranked_probabilities<P: ProbValue + Send + Sync>(
 }
 
 /// [`dag_ranked_probabilities`] accumulating operator counters into
-/// `counters` alongside the scheduler/shard report.
+/// `counters` alongside the scheduler report.
 pub fn dag_ranked_probabilities_counted<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
@@ -594,52 +441,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Mutex;
-
-    /// The parallel suite's safe shapes: joins, constants, predicates,
-    /// self-key atoms, negation — every leaf and stage kind.
-    const QUERIES: &[&str] = &[
-        "R(x)",
-        "R(x), S(x,y)",
-        "R(x), S(x,y), U(x,y,z)",
-        "R(x), T(z,w)",
-        "R(1), S(1,y)",
-        "S(x,y), x < y",
-        "S(x,x)",
-        "R(x), S(x,y), U(x,y,z), V(x,w)",
-        "R(x), not T(x)",
-        "R(x), S(x,y), not U(x,y,z)",
-    ];
-
-    #[test]
-    fn dag_matches_serial_across_threads_and_shards() {
-        let mut rng = StdRng::seed_from_u64(0xDA6);
-        for (i, text) in QUERIES.iter().enumerate() {
-            let mut voc = Vocabulary::new();
-            let q = parse_query(&mut voc, text).unwrap();
-            let plan = build_plan(&q).unwrap();
-            let opts = RandomDbOptions {
-                domain: 3,
-                tuples_per_relation: 12,
-                prob_range: (0.1, 0.9),
-            };
-            let db = random_db_for_query(&q, &voc, opts, &mut rng);
-            let probs = db.prob_vector();
-            let serial = execute(&db, &probs, &plan);
-            for threads in [1, 2, 4] {
-                for shards in [1, 2, 4] {
-                    // grain 2: force multi-morsel schedules inside tasks.
-                    let opts = DagOptions::with_grain(threads, shards, 2);
-                    let (got, run) =
-                        dag_execute_counted(&db, &probs, &plan, &opts, &mut OpCounters::default());
-                    assert_eq!(
-                        serial, got,
-                        "query {i} ({text}) diverged at {threads} threads {shards} shards"
-                    );
-                    assert_eq!(run.shards.shards, shards);
-                }
-            }
-        }
-    }
 
     /// Satellite: torn schedules on real plans — a seeded random picker
     /// permutes task completion order; output bits never change.
@@ -666,7 +467,7 @@ mod tests {
                     let picker_rng = Mutex::new(StdRng::seed_from_u64(seed));
                     let picker =
                         |ready: &[usize]| picker_rng.lock().unwrap().gen_range(0..ready.len());
-                    let opts = DagOptions::with_grain(threads, 2, 2);
+                    let opts = DagOptions::with_grain(threads, 2);
                     let (got, _) = dag_execute_counted_with_picker(
                         &db,
                         &probs,
@@ -697,13 +498,7 @@ mod tests {
         let mut serial = OpCounters::default();
         let _ = execute_counted(&db, &probs, &plan, &mut serial);
         let mut dag = OpCounters::default();
-        let _ = dag_execute_counted(
-            &db,
-            &probs,
-            &plan,
-            &DagOptions::with_grain(4, 2, 2),
-            &mut dag,
-        );
+        let _ = dag_execute_counted(&db, &probs, &plan, &DagOptions::with_grain(4, 2), &mut dag);
         // Operator-granularity counters are identical; the DAG path adds
         // its cost-model record on top.
         assert_eq!(serial.scans, dag.scans);
@@ -714,95 +509,6 @@ mod tests {
         assert_eq!(serial.join_rows, dag.join_rows);
         assert_eq!(serial.groups, dag.groups);
         assert_eq!(dag.est_builds, dag.joins, "every stage is estimate-chosen");
-        assert_eq!(dag.shard_fanout, 2);
-        assert_eq!(serial.shard_fanout, 0, "serial path never shards");
-    }
-
-    #[test]
-    fn resident_layout_scans_without_global_index_probes() {
-        let mut rng = StdRng::seed_from_u64(0x5A1D);
-        for text in [
-            "R(x), S(x,y)",
-            "R(1), S(1,y), U(x,y,z)",
-            "S(x,x)",
-            "R(x), not T(x)",
-        ] {
-            let mut voc = Vocabulary::new();
-            let q = parse_query(&mut voc, text).unwrap();
-            let plan = build_plan(&q).unwrap();
-            let opts = RandomDbOptions {
-                domain: 4,
-                tuples_per_relation: 40,
-                prob_range: (0.1, 0.9),
-            };
-            let mut db = random_db_for_query(&q, &voc, opts, &mut rng);
-            let probs = db.prob_vector();
-            let mut serial_c = OpCounters::default();
-            let serial = execute_counted(&db, &probs, &plan, &mut serial_c);
-            assert!(serial_c.global_index_probes > 0, "{text}: serial probes");
-            for shards in [2usize, 3, 7] {
-                db.set_shard_layout(shards);
-                for threads in [1, 4] {
-                    let mut c = OpCounters::default();
-                    let (got, _) = dag_execute_counted(
-                        &db,
-                        &probs,
-                        &plan,
-                        &DagOptions::with_grain(threads, shards, 2),
-                        &mut c,
-                    );
-                    assert_eq!(serial, got, "{text} at {threads} threads {shards} shards");
-                    assert_eq!(
-                        c.global_index_probes, 0,
-                        "{text}: resident path probed globally"
-                    );
-                    assert!(c.shard_index_probes > 0, "{text}: no shard probes recorded");
-                    // Scan-granularity counters replicate the monolithic
-                    // figures exactly — the per-shard lists partition the
-                    // global lists, so the same column wins pushdown.
-                    assert_eq!(c.scans, serial_c.scans, "{text}");
-                    assert_eq!(c.index_scans, serial_c.index_scans, "{text}");
-                    assert_eq!(c.rows_scanned, serial_c.rows_scanned, "{text}");
-                    assert_eq!(c.rows_pruned, serial_c.rows_pruned, "{text}");
-                }
-            }
-            // Fan-out ≠ layout: the executor must fall back to the
-            // split-derived path (global probes again) and still agree.
-            let mut c = OpCounters::default();
-            let (got, _) =
-                dag_execute_counted(&db, &probs, &plan, &DagOptions::with_grain(2, 2, 2), &mut c);
-            assert_eq!(serial, got, "{text}: split fallback diverged");
-            assert_eq!(
-                c.global_index_probes, serial_c.global_index_probes,
-                "{text}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_scan_rows_spread_and_sum() {
-        let mut voc = Vocabulary::new();
-        let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
-        let r = voc.find_relation("R").unwrap();
-        let s = voc.find_relation("S").unwrap();
-        let mut db = ProbDb::new(voc);
-        for i in 0..400u64 {
-            db.insert(r, vec![Value(i)], 0.3);
-            db.insert(s, vec![Value(i % 40), Value(i)], 0.6);
-        }
-        let plan = build_plan(&q).unwrap();
-        let probs = db.prob_vector();
-        let serial = execute(&db, &probs, &plan);
-        let opts = DagOptions::with_grain(4, 4, 16);
-        let (got, run) = dag_execute_counted(&db, &probs, &plan, &opts, &mut OpCounters::default());
-        assert_eq!(serial, got);
-        assert_eq!(run.shards.rows.len(), 4);
-        assert_eq!(run.shards.rows.iter().sum::<u64>(), 800, "all scan rows");
-        assert!(
-            run.shards.rows.iter().all(|&r| r > 0),
-            "skewed shards: {:?}",
-            run.shards.rows
-        );
     }
 
     #[test]
@@ -819,12 +525,7 @@ mod tests {
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = RatProbs::from_db(&db);
         let serial = execute(&db, probs.as_slice(), &plan);
-        let got = dag_execute(
-            &db,
-            probs.as_slice(),
-            &plan,
-            &DagOptions::with_grain(4, 2, 2),
-        );
+        let got = dag_execute(&db, probs.as_slice(), &plan, &DagOptions::with_grain(4, 2));
         assert_eq!(serial, got);
     }
 
@@ -845,16 +546,14 @@ mod tests {
         let probs = db.prob_vector();
         let serial = crate::exec::ranked_probabilities(&db, &probs, &plan, &[d]);
         for threads in [1, 2, 4] {
-            for shards in [1, 3] {
-                let (got, _) = dag_ranked_probabilities(
-                    &db,
-                    &probs,
-                    &plan,
-                    &[d],
-                    &DagOptions::with_grain(threads, shards, 2),
-                );
-                assert_eq!(serial, got, "{threads} threads {shards} shards");
-            }
+            let (got, _) = dag_ranked_probabilities(
+                &db,
+                &probs,
+                &plan,
+                &[d],
+                &DagOptions::with_grain(threads, 2),
+            );
+            assert_eq!(serial, got, "{threads} threads");
         }
     }
 
@@ -877,7 +576,7 @@ mod tests {
             &db,
             &probs,
             &plan,
-            &DagOptions::with_grain(4, 1, 32),
+            &DagOptions::with_grain(4, 32),
             &mut OpCounters::default(),
         );
         assert_eq!(execute(&db, &probs, &plan), got);
@@ -896,7 +595,7 @@ mod tests {
         let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
         let db = ProbDb::new(voc);
         let plan = build_plan(&q).unwrap();
-        let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(4, 4));
+        let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(4));
         assert_eq!(p, 0.0);
     }
 }

@@ -6,8 +6,8 @@
 //! invariants), scans push constants down to the `(column, value)`
 //! posting lists [`pdb::ProbDb`] maintains, and joins hash whichever
 //! input is smaller. Every kernel takes an explicit row range so the
-//! serial executor (whole range) and the morsel-parallel executor
-//! ([`crate::par`], one morsel at a time) run literally the same code —
+//! serial executor (whole range) and the DAG executor's morsel kernels
+//! ([`crate::dag`], one morsel at a time) run literally the same code —
 //! the foundation of the bit-for-bit serial/parallel agreement invariant.
 //!
 //! The pre-columnar row-at-a-time executor survives in [`crate::rowref`]
@@ -84,16 +84,6 @@ pub struct OpCounters {
     pub join_rows: u64,
     /// Distinct groups across all independent-project aggregations.
     pub groups: u64,
-    /// Shard fan-out the cost model chose for this execution (0 on the
-    /// monolithic serial/morsel paths, ≥ 1 on the DAG/sharded path).
-    pub shard_fanout: u64,
-    /// Global-index lookups made while resolving scans (the relation list
-    /// plus one per probed `(column, value)` posting list). Stays 0 on the
-    /// shard-resident path — the acceptance gate for shard-local scans.
-    pub global_index_probes: u64,
-    /// Shard-local index lookups on the resident path (one per shard per
-    /// probed list). 0 everywhere else.
-    pub shard_index_probes: u64,
     /// Join stages whose build side was chosen by the posting-list cost
     /// model (the DAG executor decides sides from estimates *before* the
     /// inputs materialize, so the build can be scheduled early)…
@@ -118,9 +108,6 @@ impl PartialEq for OpCounters {
             && self.joins_build_left == other.joins_build_left
             && self.join_rows == other.join_rows
             && self.groups == other.groups
-            && self.shard_fanout == other.shard_fanout
-            && self.global_index_probes == other.global_index_probes
-            && self.shard_index_probes == other.shard_index_probes
             && self.est_builds == other.est_builds
             && self.est_build_overrides == other.est_build_overrides
     }
@@ -143,9 +130,6 @@ impl OpCounters {
         self.joins_build_left += other.joins_build_left;
         self.join_rows += other.join_rows;
         self.groups += other.groups;
-        self.shard_fanout = self.shard_fanout.max(other.shard_fanout);
-        self.global_index_probes += other.global_index_probes;
-        self.shard_index_probes += other.shard_index_probes;
         self.est_builds += other.est_builds;
         self.est_build_overrides += other.est_build_overrides;
         self.times.absorb(&other.times);
@@ -387,7 +371,6 @@ impl<'a> ScanSpec<'a> {
         let cols = atom.vars();
         let plan = scan_plan(atom, &cols);
         let all = db.tuples_of(atom.rel);
-        counters.global_index_probes += 1;
         // Constant pushdown: visit the smallest `(column, value)` posting
         // list. Posting lists ascend in tuple id, so the surviving rows
         // come out in exactly the order a filtered full scan emits them.
@@ -395,7 +378,6 @@ impl<'a> ScanSpec<'a> {
         for (pos, term) in atom.args.iter().enumerate() {
             if let Term::Const(c) = term {
                 let list = db.tuples_with(atom.rel, pos, *c);
-                counters.global_index_probes += 1;
                 if best.is_none_or(|b| list.len() < b.len()) {
                     best = Some(list);
                 }
@@ -451,290 +433,6 @@ pub(crate) fn scan_rows<P: ProbValue>(
         out_probs.push(probs[tid.0 as usize].clone());
     }
     (data, out_probs)
-}
-
-/// The scan kernel over an explicit subset of `ids`, given as ascending
-/// positions — the per-shard variant. `at` holds indices into `ids` (one
-/// shard's slice of the id space, ascending); surviving rows come back as
-/// columnar buffers **plus the position each row came from**, so a k-way
-/// merge of shard outputs by position reproduces the unsharded
-/// [`scan_rows`] output bit for bit (filtering can drop rows, so
-/// positions — not counts — are what the merge stitches by).
-pub(crate) fn scan_rows_at<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &ScanPlan,
-    ids: &[TupleId],
-    at: &[u32],
-) -> (Vec<Value>, Vec<P>, Vec<u32>) {
-    let mut data: Vec<Value> = Vec::new();
-    let mut out_probs: Vec<P> = Vec::new();
-    let mut survivors: Vec<u32> = Vec::new();
-    let mut rowbuf = vec![Value(0); plan.arity];
-    'tuples: for &pos in at {
-        let tid = ids[pos as usize];
-        let tuple = db.tuple(tid);
-        for (p, slot) in plan.slots.iter().enumerate() {
-            let got = tuple.args[p];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'tuples;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'tuples;
-                    }
-                }
-            }
-        }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
-        survivors.push(pos);
-    }
-    (data, out_probs, survivors)
-}
-
-/// A sharded scan resolved entirely from shard-resident storage: one
-/// tuple-id list per shard (shard-local posting lists on constant
-/// pushdown, the resident relation lists otherwise), with **zero
-/// global-index probes**.
-pub(crate) struct ShardScanSpec<'a> {
-    pub cols: Vec<Var>,
-    pub plan: ScanPlan,
-    /// Per-shard id lists to visit, ascending within each shard; together
-    /// they partition exactly the id list [`ScanSpec::new`] would choose.
-    pub shard_ids: Vec<&'a [TupleId]>,
-    /// Whether a constant pushed down to a posting list. When false the
-    /// scan covers whole relations and kernels can walk the resident
-    /// columnar buffers directly instead of chasing ids.
-    pub pushdown: bool,
-}
-
-impl<'a> ShardScanSpec<'a> {
-    /// Resolve `atom` against the resident layout of `db` (the caller
-    /// guarantees `db.shard_layout() == shards`). Replicates the
-    /// smallest-posting-list choice of [`ScanSpec::new`] exactly: the
-    /// per-shard lists partition the global lists, so the summed lengths
-    /// equal the global lengths and the same column wins under the same
-    /// strict `<` tie-break in argument order. Scan counters
-    /// (`rows_scanned`, `rows_pruned`) therefore also match the
-    /// monolithic figures; only `shard_index_probes` accrue.
-    pub fn new(db: &'a ProbDb, atom: &Atom, shards: usize, counters: &mut OpCounters) -> Self {
-        assert!(!atom.negated, "plans scan positive atoms only");
-        debug_assert_eq!(db.shard_layout(), shards, "resident layout mismatch");
-        let cols = atom.vars();
-        let plan = scan_plan(atom, &cols);
-        let all: Vec<&[TupleId]> = (0..shards)
-            .map(|s| db.shard_tuples_of(s, atom.rel))
-            .collect();
-        counters.shard_index_probes += shards as u64;
-        let all_len: usize = all.iter().map(|l| l.len()).sum();
-        let mut best: Option<(Vec<&'a [TupleId]>, usize)> = None;
-        for (pos, term) in atom.args.iter().enumerate() {
-            if let Term::Const(c) = term {
-                let lists: Vec<&[TupleId]> = (0..shards)
-                    .map(|s| db.shard_tuples_with(s, atom.rel, pos, *c))
-                    .collect();
-                counters.shard_index_probes += shards as u64;
-                let len: usize = lists.iter().map(|l| l.len()).sum();
-                if best.as_ref().is_none_or(|(_, b)| len < *b) {
-                    best = Some((lists, len));
-                }
-            }
-        }
-        counters.scans += 1;
-        let (shard_ids, pushdown) = match best {
-            Some((lists, len)) => {
-                counters.index_scans += 1;
-                counters.rows_pruned += (all_len - len) as u64;
-                counters.rows_scanned += len as u64;
-                (lists, true)
-            }
-            None => {
-                counters.rows_scanned += all_len as u64;
-                (all, false)
-            }
-        };
-        ShardScanSpec {
-            cols,
-            plan,
-            shard_ids,
-            pushdown,
-        }
-    }
-}
-
-/// The id-keyed scan kernel for shard-local posting lists: like
-/// [`scan_rows`], but each surviving row also reports its **tuple id** as
-/// a `u32` merge key. Per-shard lists ascend and partition the global
-/// list, so a k-way merge of shard outputs by id reproduces the
-/// monolithic scan output bit for bit.
-pub(crate) fn scan_rows_keyed<P: ProbValue>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &ScanPlan,
-    ids: &[TupleId],
-) -> (Vec<Value>, Vec<P>, Vec<u32>) {
-    let mut data: Vec<Value> = Vec::new();
-    let mut out_probs: Vec<P> = Vec::new();
-    let mut keys: Vec<u32> = Vec::new();
-    let mut rowbuf = vec![Value(0); plan.arity];
-    'tuples: for &tid in ids {
-        let tuple = db.tuple(tid);
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = tuple.args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'tuples;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'tuples;
-                    }
-                }
-            }
-        }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
-        keys.push(tid.0);
-    }
-    (data, out_probs, keys)
-}
-
-/// The id-keyed scan kernel over one shard's **resident columnar
-/// buffer**: row values come straight off the shard's contiguous value
-/// buffer (stride = relation arity), never touching global tuple storage
-/// row by row. Emits the same `(data, probs, id keys)` triple as
-/// [`scan_rows_keyed`] over the same ids.
-pub(crate) fn scan_column_keyed<P: ProbValue>(
-    col: &pdb::ShardColumn,
-    probs: &[P],
-    plan: &ScanPlan,
-) -> (Vec<Value>, Vec<P>, Vec<u32>) {
-    let stride = plan.slots.len();
-    let mut data: Vec<Value> = Vec::new();
-    let mut out_probs: Vec<P> = Vec::new();
-    let mut keys: Vec<u32> = Vec::new();
-    let mut rowbuf = vec![Value(0); plan.arity];
-    'rows: for (i, &tid) in col.ids.iter().enumerate() {
-        let args = &col.data[i * stride..(i + 1) * stride];
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        continue 'rows;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        continue 'rows;
-                    }
-                }
-            }
-        }
-        data.extend_from_slice(&rowbuf);
-        out_probs.push(probs[tid.0 as usize].clone());
-        keys.push(tid.0);
-    }
-    (data, out_probs, keys)
-}
-
-/// The fused single-pass variant of resident sharded scanning for an
-/// **inline** (one-worker) pool: k-way merges the shards' ascending id
-/// lists while filtering straight off each shard's resident columnar
-/// buffer, writing survivors directly into the output relation. This
-/// skips the per-shard materialization and the separate merge walk the
-/// parallel path needs — one pass, one copy — and emits exactly the rows
-/// that path emits, in the same ascending-tuple-id order, so the output
-/// bits cannot move. `shard_rows[s]` counts survivors per shard, the same
-/// accounting the parallel path reports.
-pub(crate) fn scan_columns_merged<P: ProbValue>(
-    shards: &[Option<&pdb::ShardColumn>],
-    probs: &[P],
-    plan: &ScanPlan,
-    cols: Vec<Var>,
-    shard_rows: &mut [u64],
-) -> ProbRelation<P> {
-    let stride = plan.slots.len();
-    let total: usize = shards.iter().map(|c| c.map_or(0, |c| c.ids.len())).sum();
-    let mut out = ProbRelation::with_capacity(cols, total);
-    // Full scans are overwhelmingly identity projections (every slot binds
-    // the column it sits on); hoisting that check skips the per-row slot
-    // walk and the staging buffer on the hot path.
-    let identity = plan.arity == stride
-        && plan
-            .slots
-            .iter()
-            .enumerate()
-            .all(|(pos, s)| matches!(*s, Slot::Bind(ci) if ci == pos));
-    // One cursor per shard, with the head key cached so the per-row merge
-    // is a min over `shards` integers — exhausted cursors park at a
-    // sentinel above every real `u32` id.
-    const DONE: u64 = u64::MAX;
-    let k = shards.len();
-    let mut cur = vec![0usize; k];
-    let mut head = vec![DONE; k];
-    for (s, col) in shards.iter().enumerate() {
-        if let Some(col) = col {
-            if let Some(&tid) = col.ids.first() {
-                head[s] = tid.0 as u64;
-            }
-        }
-    }
-    let mut rowbuf = vec![Value(0); plan.arity];
-    loop {
-        let (mut best_key, mut s) = (DONE, 0usize);
-        for (cand, &h) in head.iter().enumerate() {
-            if h < best_key {
-                best_key = h;
-                s = cand;
-            }
-        }
-        if best_key == DONE {
-            return out;
-        }
-        let col = shards[s].expect("the picked cursor sits on a resident column");
-        let i = cur[s];
-        cur[s] = i + 1;
-        head[s] = col.ids.get(i + 1).map_or(DONE, |t| t.0 as u64);
-        let args = &col.data[i * stride..(i + 1) * stride];
-        if identity {
-            out.push(args, probs[best_key as usize].clone());
-            shard_rows[s] += 1;
-            continue;
-        }
-        let mut ok = true;
-        for (pos, slot) in plan.slots.iter().enumerate() {
-            let got = args[pos];
-            match *slot {
-                Slot::Const(c) => {
-                    if got != c {
-                        ok = false;
-                        break;
-                    }
-                }
-                Slot::Bind(ci) => rowbuf[ci] = got,
-                Slot::Check(ci) => {
-                    if rowbuf[ci] != got {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if ok {
-            out.push(&rowbuf, probs[best_key as usize].clone());
-            shard_rows[s] += 1;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -21,18 +21,13 @@
 //! see [`relation`] for the invariants), operator kernels touch no per-row
 //! heap allocations, grouping runs on packed `u64`/`u128` keys, joins hash
 //! the smaller input, and scans push constants down to per-relation
-//! `(column, value)` posting lists in [`pdb::ProbDb`]. The [`par`] module
-//! executes the same plans on a morsel-driven scoped-thread worker pool
-//! ([`par_execute`]), bit-for-bit identical to the serial executor at
-//! every thread count. The [`dag`] module goes one level up: plans
-//! decompose into an operator-task DAG whose independent subtrees overlap
-//! on the same pool, over a hash-**sharded** data plane
-//! ([`dag_execute`]) — still bit-for-bit identical for every thread
-//! count, shard count, and schedule. When the database carries a matching
-//! **shard-resident layout** ([`pdb::ProbDb::set_shard_layout`]),
-//! sharded scans read per-shard columnar buffers and posting lists and
-//! resolve with zero global-index probes (counter-verified via
-//! [`OpCounters`]). The pre-columnar row executor survives in [`rowref`]
+//! `(column, value)` posting lists in [`pdb::ProbDb`]. The [`dag`] module
+//! runs the same plans in parallel: a plan decomposes into an
+//! operator-task DAG whose independent subtrees overlap on a
+//! morsel-driven scoped-thread worker pool ([`dag_execute`]), each
+//! operator running the morsel-parallel kernels of [`par`] — bit-for-bit
+//! identical to the serial executor for every thread count and schedule.
+//! The pre-columnar row executor survives in [`rowref`]
 //! as the correctness oracle and bench baseline.
 //!
 //! ```
@@ -64,7 +59,7 @@ pub use build::{build_plan, build_ranked_plan, PlanError};
 pub use dag::{
     dag_execute, dag_execute_counted, dag_execute_counted_with_picker, dag_query_probability,
     dag_query_probability_counted, dag_ranked_probabilities, dag_ranked_probabilities_counted,
-    DagOptions, DagRun, ShardStats,
+    DagOptions, DagRun,
 };
 pub use exec::{
     execute, execute_counted, query_probability, query_probability_counted,
@@ -72,15 +67,8 @@ pub use exec::{
     OpTimes,
 };
 pub use node::PlanNode;
-pub use optimize::{
-    columns, estimate_rows, optimize, optimize_with_stats, plan_shard_fanout, scan_estimate,
-    SHARD_MIN_ROWS,
-};
-pub use par::{
-    par_execute, par_execute_counted, par_query_probability, par_query_probability_counted,
-    par_ranked_probabilities, ParOptions,
-};
-// Re-exported so downstream crates and tests can drive the parallel and
-// DAG executors without a direct `exec-parallel` dependency.
+pub use optimize::{columns, estimate_rows, optimize, optimize_with_stats, scan_estimate};
+// Re-exported so downstream crates and tests can drive the DAG executor
+// without a direct `exec-parallel` dependency.
 pub use exec_parallel::{DagStats, ExecStats, Pool, ThreadStats};
 pub use relation::{FnvHasher, ProbRelation};

@@ -237,44 +237,6 @@ pub fn estimate_rows(plan: &PlanNode, db: &ProbDb) -> f64 {
     }
 }
 
-/// Minimum posting-list size at which hash-sharding a plan's scans pays
-/// for its per-shard scaffolding. Deliberately low so mid-size test
-/// workloads still exercise the sharded path under `ENGINE_SHARDS`; tiny
-/// inputs collapse to the monolithic plane.
-pub const SHARD_MIN_ROWS: usize = 256;
-
-/// The shard fan-out the cost model grants `plan`: the `requested` count
-/// when at least one scan will visit [`SHARD_MIN_ROWS`] or more tuple ids
-/// (per [`scan_estimate`] — posting lists, not materialized counts),
-/// otherwise 1. A pure function of `(plan, db, requested)`, so every
-/// executor and refresh path lands on the same data-plane layout.
-pub fn plan_shard_fanout(plan: &PlanNode, db: &ProbDb, requested: usize) -> usize {
-    if requested <= 1 {
-        return 1;
-    }
-    if widest_scan(plan, db) >= SHARD_MIN_ROWS {
-        requested
-    } else {
-        1
-    }
-}
-
-/// The largest tuple-id list any scan in `plan` will visit. Complement
-/// scans contribute nothing: their rows are generated bindings with no
-/// tuple ids, so they never shard.
-fn widest_scan(plan: &PlanNode, db: &ProbDb) -> usize {
-    match plan {
-        PlanNode::Certain | PlanNode::Never | PlanNode::ComplementScan { .. } => 0,
-        PlanNode::Scan { atom } => scan_estimate(db, atom),
-        PlanNode::Select { input, .. } | PlanNode::IndependentProject { input, .. } => {
-            widest_scan(input, db)
-        }
-        PlanNode::IndependentJoin { inputs } => {
-            inputs.iter().map(|i| widest_scan(i, db)).max().unwrap_or(0)
-        }
-    }
-}
-
 fn order_joins(plan: &PlanNode, db: &ProbDb) -> PlanNode {
     match plan {
         PlanNode::Certain
@@ -532,27 +494,5 @@ mod tests {
         assert_eq!(scan_estimate(&db, atom), 3, "posting list is exact");
         let est = estimate_rows(&PlanNode::Scan { atom: atom.clone() }, &db);
         assert_eq!(est, 3.0, "one constant priced exactly, no residuals");
-    }
-
-    #[test]
-    fn shard_fanout_collapses_on_tiny_inputs() {
-        let (voc, q) = parse("R(x), S(x,y)");
-        let r = voc.find_relation("R").unwrap();
-        let s = voc.find_relation("S").unwrap();
-        let mut db = ProbDb::new(voc);
-        for i in 0..10u64 {
-            db.insert(r, vec![cq::Value(i)], 0.5);
-            db.insert(s, vec![cq::Value(i), cq::Value(i + 1)], 0.5);
-        }
-        let plan = build_plan(&q).unwrap();
-        // Ten-tuple scans are below the threshold: collapse to 1.
-        assert_eq!(plan_shard_fanout(&plan, &db, 4), 1);
-        assert_eq!(plan_shard_fanout(&plan, &db, 1), 1);
-        // Grow one relation past the threshold: the request is granted.
-        for i in 10..(SHARD_MIN_ROWS as u64 + 10) {
-            db.insert(r, vec![cq::Value(i)], 0.5);
-        }
-        assert_eq!(plan_shard_fanout(&plan, &db, 4), 4);
-        assert_eq!(plan_shard_fanout(&plan, &db, 1), 1, "requested 1 stays 1");
     }
 }

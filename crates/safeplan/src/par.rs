@@ -1,19 +1,18 @@
-//! Morsel-driven parallel execution of safe plans.
+//! Morsel-parallel operator kernels.
 //!
-//! [`par_execute`] runs the same [`PlanNode`] language as [`crate::execute`]
-//! on a scoped-thread worker [`Pool`] (see the `exec-parallel` crate), one
-//! operator at a time, parallel *within* each operator — and on the same
-//! **columnar flat-buffer kernels** as the serial executor:
+//! The [`dag`](crate::dag) executor runs each operator of a safe plan on a
+//! scoped-thread worker [`Pool`] (see the `exec-parallel` crate), parallel
+//! *within* the operator, on the same **columnar flat-buffer kernels** as
+//! the serial executor:
 //!
-//! * **scans** and **complement scans** partition their input (pushed-down
-//!   tuple ids, linearized bindings) into morsels pulled from a shared
-//!   cursor; each morsel emits a columnar chunk of whole rows;
-//! * **joins** hash the **smaller** input once (build-side selection —
-//!   identical to the serial choice, a pure function of the row counts),
-//!   then probe the larger side in parallel morsels. When the build side
-//!   is the left input, probing yields `(left, right)` id pairs that a
-//!   stable counting sort restores to the serial output order before a
-//!   morsel-parallel emission pass materializes them;
+//! * **selects** partition their input rows into morsels pulled from a
+//!   shared cursor; each morsel emits a columnar chunk of whole rows
+//!   (scans and complement scans fan out the same way, in `dag`);
+//! * **joins** hash the build input once, then probe the other side in
+//!   parallel morsels. When the build side is the left input, probing
+//!   yields `(left, right)` id pairs that a stable counting sort restores
+//!   to the serial output order before a morsel-parallel emission pass
+//!   materializes them;
 //! * **independent projects** — the `1 − Π(1−p)` aggregation at the core of
 //!   the extensional operators — hash-partition *groups* across workers
 //!   (packed-key [`Grouper`](crate::relation) folds, no per-row keys) and
@@ -21,187 +20,21 @@
 //!   group is folded by exactly one worker in row order.
 //!
 //! The invariant throughout (and the property the agreement tests pin
-//! down): for any plan, database, and thread count, `par_execute` returns
-//! **bit-for-bit** the relation the serial executor returns — same row
+//! down): for any input and thread count, each kernel returns
+//! **bit-for-bit** the relation its serial counterpart returns — same row
 //! order, same `f64` values. Morsel outputs are stitched in morsel order
 //! (the stride invariant makes that plain buffer concatenation), group
 //! folds keep the serial multiplication order, and worker scheduling never
 //! leaks into results. Parallelism changes wall time, not answers.
 
-use crate::exec::{complement_rows, eval_pred, scan_rows, ComplementSpec, OpCounters, ScanSpec};
-use crate::node::PlanNode;
+use crate::exec::{eval_pred, OpCounters};
 use crate::relation::{
-    choose_build_side, emit_pairs, filter_rows, group_fold_rows, hash_row_key, join_spec,
-    pairs_by_left, probe_emit, probe_pairs, stitch_columnar, BuildSide, GroupFold, JoinIndex,
-    ProbRelation,
+    emit_pairs, filter_rows, group_fold_rows, hash_row_key, join_spec, pairs_by_left, probe_emit,
+    probe_pairs, stitch_columnar, BuildSide, GroupFold, JoinIndex, ProbRelation,
 };
-use cq::{Pred, Value, Var};
-use exec_parallel::{ExecStats, Pool, DEFAULT_GRAIN};
+use cq::{Pred, Var};
+use exec_parallel::Pool;
 use lineage::ProbValue;
-use pdb::ProbDb;
-use std::time::Instant;
-
-/// Tuning for one parallel execution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParOptions {
-    /// Worker threads (1 = inline serial dispatch, no spawning).
-    pub threads: usize,
-    /// Morsel size in rows; tests shrink it to force multi-morsel
-    /// schedules on small inputs.
-    pub grain: usize,
-}
-
-impl ParOptions {
-    pub fn new(threads: usize) -> Self {
-        ParOptions {
-            threads,
-            grain: DEFAULT_GRAIN,
-        }
-    }
-
-    pub fn with_grain(threads: usize, grain: usize) -> Self {
-        ParOptions { threads, grain }
-    }
-
-    /// The pool this configuration describes.
-    pub fn pool(&self) -> Pool {
-        Pool::with_grain(self.threads, self.grain)
-    }
-}
-
-impl Default for ParOptions {
-    fn default() -> Self {
-        ParOptions::new(1)
-    }
-}
-
-/// Execute `plan` over `db` on `pool`, with tuple probabilities in
-/// [`pdb::TupleId`] order. Returns exactly what [`crate::execute`] returns
-/// — same rows, same order, same bits — for every thread count.
-pub fn par_execute<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    pool: &Pool,
-) -> ProbRelation<P> {
-    par_execute_counted(db, probs, plan, pool, &mut OpCounters::default())
-}
-
-/// [`par_execute`] accumulating [`OpCounters`]. Counters are taken at
-/// operator granularity on the coordinating thread, never inside morsels,
-/// so they equal the serial execution's counters exactly.
-pub fn par_execute_counted<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    pool: &Pool,
-    counters: &mut OpCounters,
-) -> ProbRelation<P> {
-    assert_eq!(probs.len(), db.num_tuples(), "probability vector length");
-    par_node(db, probs, plan, pool, counters)
-}
-
-fn par_node<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    pool: &Pool,
-    counters: &mut OpCounters,
-) -> ProbRelation<P> {
-    match plan {
-        PlanNode::Certain => ProbRelation::certain(),
-        PlanNode::Never => ProbRelation::never(),
-        PlanNode::Scan { atom } => {
-            let _span = telemetry::span("scan");
-            let t0 = Instant::now();
-            let scan = ScanSpec::new(db, atom, counters);
-            let chunks = pool.map_morsels(scan.ids.len(), |r| {
-                scan_rows(db, probs, &scan.plan, &scan.ids[r])
-            });
-            let (data, out) = stitch_columnar(chunks);
-            counters.times.scan_ns += t0.elapsed().as_nanos() as u64;
-            ProbRelation::from_parts(scan.cols, data, out)
-        }
-        PlanNode::ComplementScan { atom } => {
-            let _span = telemetry::span("complement-scan");
-            let t0 = Instant::now();
-            let spec = ComplementSpec::new(db, atom, counters);
-            let chunks = pool.map_morsels(spec.total, |r| complement_rows(db, probs, &spec, r));
-            let (data, out) = stitch_columnar(chunks);
-            counters.times.complement_ns += t0.elapsed().as_nanos() as u64;
-            ProbRelation::from_parts(spec.cols.clone(), data, out)
-        }
-        PlanNode::Select { pred, input } => {
-            let rel = par_node(db, probs, input, pool, counters);
-            let _span = telemetry::span("select");
-            let t0 = Instant::now();
-            let out = par_select(&rel, pred, pool);
-            counters.times.select_ns += t0.elapsed().as_nanos() as u64;
-            out
-        }
-        PlanNode::IndependentJoin { inputs } => {
-            let mut acc = ProbRelation::certain();
-            for i in inputs {
-                let right = par_node(db, probs, i, pool, counters);
-                let _span = telemetry::span("join");
-                let t0 = Instant::now();
-                acc = par_join(&acc, &right, pool, counters);
-                counters.times.join_ns += t0.elapsed().as_nanos() as u64;
-            }
-            acc
-        }
-        PlanNode::IndependentProject { keep, input } => {
-            let rel = par_node(db, probs, input, pool, counters);
-            let _span = telemetry::span("project");
-            let t0 = Instant::now();
-            let out = par_project(&rel, keep, pool);
-            counters.groups += out.len() as u64;
-            counters.times.project_ns += t0.elapsed().as_nanos() as u64;
-            out
-        }
-    }
-}
-
-/// `p(q)` of a Boolean plan in `f64` arithmetic, executed in parallel;
-/// also reports how the work spread over the workers.
-pub fn par_query_probability(db: &ProbDb, plan: &PlanNode, opts: ParOptions) -> (f64, ExecStats) {
-    let pool = opts.pool();
-    let p = par_execute(db, &db.prob_vector(), plan, &pool).scalar();
-    (p, pool.stats())
-}
-
-/// [`par_query_probability`] with operator counters alongside the
-/// per-thread timing counters.
-pub fn par_query_probability_counted(
-    db: &ProbDb,
-    plan: &PlanNode,
-    opts: ParOptions,
-    counters: &mut OpCounters,
-) -> (f64, ExecStats) {
-    let pool = opts.pool();
-    let p = par_execute_counted(db, &db.prob_vector(), plan, &pool, counters).scalar();
-    (p, pool.stats())
-}
-
-/// Parallel counterpart of [`crate::ranked_probabilities`]: execute a
-/// ranked plan with the answer set partitioned across workers and return
-/// one `(head binding, marginal probability)` pair per candidate, in the
-/// serial path's exact order. Callers wanting per-thread counters can run
-/// [`par_execute`] on their own [`Pool`] and read its stats.
-///
-/// # Panics
-/// If `plan` does not carry every variable of `head` as an output column.
-pub fn par_ranked_probabilities<P: ProbValue + Send + Sync>(
-    db: &ProbDb,
-    probs: &[P],
-    plan: &PlanNode,
-    head: &[Var],
-    opts: ParOptions,
-) -> Vec<(Vec<Value>, P)> {
-    let pool = opts.pool();
-    let rel = par_execute(db, probs, plan, &pool);
-    crate::exec::project_head(&rel, head)
-}
 
 /// Partitioned filter: morsels over the input rows, each emitting a
 /// columnar chunk of whole rows.
@@ -218,29 +51,10 @@ pub(crate) fn par_select<P: ProbValue + Send + Sync>(
     ProbRelation::from_parts(cols, data, probs)
 }
 
-/// Parallel independent join with build-side selection. The build side —
-/// the smaller input, same deterministic choice as the serial join — is
-/// indexed once on the coordinating thread; the probe side streams through
-/// in morsels. A left-side build probes into id pairs, counting-sorts them
-/// back to the serial output order, and materializes in parallel over
-/// stride-aligned pair ranges.
-fn par_join<P: ProbValue + Send + Sync>(
-    left: &ProbRelation<P>,
-    right: &ProbRelation<P>,
-    pool: &Pool,
-    counters: &mut OpCounters,
-) -> ProbRelation<P> {
-    par_join_sided(
-        left,
-        right,
-        choose_build_side(left.len(), right.len()),
-        pool,
-        counters,
-    )
-}
-
-/// [`par_join`] with the build side supplied by the caller. The output is
-/// bit-identical regardless of `side` — a right build emits probe-major
+/// Parallel independent join with the build side supplied by the caller.
+/// The build input is indexed once on the calling thread; the probe side
+/// streams through in morsels. The output is bit-identical regardless of
+/// `side` — a right build emits probe-major
 /// directly; a left build counting-sorts the probe pairs back into the
 /// same left-major order — so callers (the DAG executor's cost model) may
 /// pick the side from *estimates* without risking the agreement invariant.
@@ -283,24 +97,13 @@ pub(crate) fn par_join_sided<P: ProbValue + Send + Sync>(
     ProbRelation::from_parts(spec.out_cols, data, probs)
 }
 
-/// Parallel independent project: groups are hash-partitioned across
-/// workers; each worker folds its groups' rows **in row order** (the
-/// serial multiplication order) through the packed-key grouper, and the
+/// Parallel independent project over `parts` group partitions: each
+/// worker folds its groups' rows **in row order** (the serial
+/// multiplication order) through the packed-key grouper, and the
 /// per-partition results merge by first-seen row index — disjoint groups,
 /// so merging is concatenation, not re-multiplication, and `f64` bits are
-/// preserved.
-fn par_project<P: ProbValue + Send + Sync>(
-    rel: &ProbRelation<P>,
-    keep: &[Var],
-    pool: &Pool,
-) -> ProbRelation<P> {
-    par_project_parts(rel, keep, pool, pool.threads())
-}
-
-/// [`par_project`] with an explicit partition count. The first-seen-row
-/// merge makes the output a pure function of the input — identical for
-/// **any** `parts` — so the sharded executor can fan groups out over
-/// `shards × threads` partitions without perturbing a single bit.
+/// preserved. The output is a pure function of the input, identical for
+/// **any** `parts`.
 pub(crate) fn par_project_parts<P: ProbValue + Send + Sync>(
     rel: &ProbRelation<P>,
     keep: &[Var],
@@ -382,15 +185,20 @@ fn partition_rows(hashes: &[u64], parts: usize) -> Vec<Vec<u32>> {
 mod tests {
     use super::*;
     use crate::build::build_plan;
-    use crate::exec::execute;
-    use cq::{parse_query, Vocabulary};
+    use crate::dag::{
+        dag_execute, dag_execute_counted, dag_query_probability, dag_ranked_probabilities,
+        DagOptions,
+    };
+    use crate::exec::{execute, execute_counted};
+    use crate::node::PlanNode;
+    use cq::{parse_query, Value, Vocabulary};
     use pdb::generators::{random_db_for_query, RandomDbOptions};
-    use pdb::RatProbs;
+    use pdb::{ProbDb, RatProbs};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Safe shapes from the serial executor's suite, plus negation and
-    /// constants (pushdown scans must partition identically).
+    /// constants (pushdown scans must split into morsels identically).
     const QUERIES: &[&str] = &[
         "R(x)",
         "R(x), S(x,y)",
@@ -421,8 +229,7 @@ mod tests {
             let serial = execute(&db, &probs, &plan);
             for threads in [1, 2, 4, 8] {
                 // grain 2: force many morsels even on the tiny test dbs.
-                let pool = Pool::with_grain(threads, 2);
-                let par = par_execute(&db, &probs, &plan, &pool);
+                let par = dag_execute(&db, &probs, &plan, &DagOptions::with_grain(threads, 2));
                 assert_eq!(
                     serial, par,
                     "query {i} ({text}) diverged at {threads} threads"
@@ -445,21 +252,32 @@ mod tests {
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = db.prob_vector();
         let mut serial = OpCounters::default();
-        let _ = crate::exec::execute_counted(&db, &probs, &plan, &mut serial);
+        let _ = execute_counted(&db, &probs, &plan, &mut serial);
         for threads in [1, 2, 4] {
-            let pool = Pool::with_grain(threads, 2);
             let mut par = OpCounters::default();
-            let _ = par_execute_counted(&db, &probs, &plan, &pool, &mut par);
+            let opts = DagOptions::with_grain(threads, 2);
+            let _ = dag_execute_counted(&db, &probs, &plan, &opts, &mut par);
+            // Counts are taken per operator, never per morsel; the DAG
+            // adds its estimate-driven build-side record on top (and may
+            // hash the other join input — same output either way).
+            assert_eq!(par.est_builds, par.joins, "{threads} threads");
+            let par = OpCounters {
+                joins_build_left: serial.joins_build_left,
+                est_builds: 0,
+                est_build_overrides: 0,
+                ..par
+            };
             assert_eq!(serial, par, "{threads} threads");
         }
         assert!(serial.index_scans > 0, "{serial:?}");
     }
 
+    /// The kernels one at a time on exact rationals: a join is identical
+    /// at either build side, a project at any partition count.
     #[test]
     fn parallel_matches_serial_on_exact_rationals() {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
-        let plan = build_plan(&q).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let opts = RandomDbOptions {
             domain: 3,
@@ -468,10 +286,25 @@ mod tests {
         };
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
         let probs = RatProbs::from_db(&db);
-        let serial = execute(&db, probs.as_slice(), &plan);
-        let pool = Pool::with_grain(4, 2);
-        let par = par_execute(&db, probs.as_slice(), &plan, &pool);
-        assert_eq!(serial, par);
+        let scan = |i: usize| {
+            let atom = q.atoms[i].clone();
+            execute(&db, probs.as_slice(), &PlanNode::Scan { atom })
+        };
+        let (r, s) = (scan(0), scan(1));
+        let joined = r.independent_join(&s);
+        let x = [q.vars()[0]];
+        let projected = joined.independent_project(&x);
+        for threads in [1, 2, 4] {
+            let pool = Pool::with_grain(threads, 2);
+            for side in [BuildSide::Left, BuildSide::Right] {
+                let got = par_join_sided(&r, &s, side, &pool, &mut OpCounters::default());
+                assert_eq!(joined, got, "{threads} threads {side:?}");
+            }
+            for parts in [1, 2, 3, 7] {
+                let got = par_project_parts(&joined, &x, &pool, parts);
+                assert_eq!(projected, got, "{threads} threads {parts} parts");
+            }
+        }
     }
 
     #[test]
@@ -486,14 +319,17 @@ mod tests {
             prob_range: (0.1, 0.9),
         };
         let db = random_db_for_query(&q, &voc, opts, &mut rng);
-        let (p, stats) = par_query_probability(&db, &plan, ParOptions::with_grain(4, 4));
+        let (p, run) = dag_query_probability(&db, &plan, &DagOptions::with_grain(4, 4));
         let serial = crate::exec::query_probability(&db, &plan);
         assert_eq!(p, serial);
+        let stats = run.threads;
         assert_eq!(stats.threads(), 4);
         assert!(stats.total_morsels() > 0, "{stats:?}");
         assert!(stats.total_rows() > 0, "{stats:?}");
     }
 
+    /// Ranked answers over exact rationals, so a misordered fold would
+    /// show up as a different fraction, not a rounding wobble.
     #[test]
     fn ranked_parallel_matches_serial() {
         let mut voc = Vocabulary::new();
@@ -508,16 +344,11 @@ mod tests {
             db.insert(credit, vec![Value(i), Value(100 + i)], 0.9);
             db.insert(credit, vec![Value(i), Value(200 + i)], 0.4);
         }
-        let probs = db.prob_vector();
-        let serial = crate::exec::ranked_probabilities(&db, &probs, &plan, &[d]);
+        let probs = RatProbs::from_db(&db);
+        let serial = crate::exec::ranked_probabilities(&db, probs.as_slice(), &plan, &[d]);
         for threads in [1, 2, 4] {
-            let par = par_ranked_probabilities(
-                &db,
-                &probs,
-                &plan,
-                &[d],
-                ParOptions::with_grain(threads, 2),
-            );
+            let opts = DagOptions::with_grain(threads, 2);
+            let (par, _) = dag_ranked_probabilities(&db, probs.as_slice(), &plan, &[d], &opts);
             assert_eq!(serial, par, "{threads} threads");
         }
     }
@@ -527,8 +358,20 @@ mod tests {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
         let db = ProbDb::new(voc);
-        let plan = build_plan(&q).unwrap();
-        let (p, _) = par_query_probability(&db, &plan, ParOptions::new(4));
-        assert_eq!(p, 0.0);
+        let probs = db.prob_vector();
+        let pool = Pool::with_grain(4, 1);
+        let scan = |i: usize| {
+            let atom = q.atoms[i].clone();
+            execute(&db, &probs, &PlanNode::Scan { atom })
+        };
+        let joined = par_join_sided(
+            &scan(0),
+            &scan(1),
+            BuildSide::Left,
+            &pool,
+            &mut OpCounters::default(),
+        );
+        assert!(joined.is_empty());
+        assert_eq!(par_project_parts(&joined, &[], &pool, 4).scalar(), 0.0);
     }
 }

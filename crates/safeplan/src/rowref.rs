@@ -320,7 +320,7 @@ fn complement_rows<P: ProbValue>(
 /// Morsel-parallel execution of the row-at-a-time plan — the PR-2 parallel
 /// data plane, preserved as the multi-threaded bench baseline. Bit-for-bit
 /// identical to [`row_execute`] at every thread count.
-pub fn row_par_execute<P: ProbValue + Send + Sync>(
+pub fn row_execute_parallel<P: ProbValue + Send + Sync>(
     db: &ProbDb,
     probs: &[P],
     plan: &PlanNode,
@@ -353,7 +353,7 @@ pub fn row_par_execute<P: ProbValue + Send + Sync>(
             }
         }
         PlanNode::Select { pred, input } => {
-            let rel = row_par_execute(db, probs, input, pool);
+            let rel = row_execute_parallel(db, probs, input, pool);
             let chunks = pool.map_morsels(rel.rows.len(), |r| {
                 rel.rows[r]
                     .iter()
@@ -369,7 +369,7 @@ pub fn row_par_execute<P: ProbValue + Send + Sync>(
         PlanNode::IndependentJoin { inputs } => {
             let mut acc = RowRelation::certain();
             for i in inputs {
-                let right = row_par_execute(db, probs, i, pool);
+                let right = row_execute_parallel(db, probs, i, pool);
                 let spec = row_join_spec(&acc.cols, &right.cols);
                 let index = build_join_index(&right.rows, &spec.other_key);
                 let chunks = pool.map_morsels(acc.rows.len(), |r| {
@@ -386,7 +386,7 @@ pub fn row_par_execute<P: ProbValue + Send + Sync>(
             // Grouping stays serial in the reference path: the PR-2
             // implementation's partitioned fold is superseded by the
             // columnar executor; the serial fold is bit-identical.
-            row_par_execute(db, probs, input, pool).independent_project(keep)
+            row_execute_parallel(db, probs, input, pool).independent_project(keep)
         }
     }
 }
@@ -425,7 +425,7 @@ mod tests {
             let serial = row_execute(&db, &probs, &plan);
             for threads in [1, 2, 4] {
                 let pool = Pool::with_grain(threads, 2);
-                let par = row_par_execute(&db, &probs, &plan, &pool);
+                let par = row_execute_parallel(&db, &probs, &plan, &pool);
                 assert_eq!(serial, par, "{text} at {threads} threads");
             }
         }

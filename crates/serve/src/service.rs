@@ -886,7 +886,7 @@ fn ops_json(ops: &safeplan::OpCounters) -> String {
     format!(
         concat!(
             "{{\"scans\":{},\"index_scans\":{},\"rows_scanned\":{},\"rows_pruned\":{},",
-            "\"joins\":{},\"join_rows\":{},\"groups\":{},\"shard_fanout\":{}}}"
+            "\"joins\":{},\"join_rows\":{},\"groups\":{}}}"
         ),
         ops.scans,
         ops.index_scans,
@@ -895,7 +895,6 @@ fn ops_json(ops: &safeplan::OpCounters) -> String {
         ops.joins,
         ops.join_rows,
         ops.groups,
-        ops.shard_fanout,
     )
 }
 

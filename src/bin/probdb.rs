@@ -5,7 +5,7 @@
 //! ```text
 //! probdb classify "R(x), S(x,y), T(y)"
 //! probdb explain  "R(x), S(x,y), S(u,v), T(v)"
-//! probdb eval db.txt "R(x), S(x,y)" [--mc-samples 100000] [--exact] [--threads N] [--shards N] [--json] [--trace out.json]
+//! probdb eval db.txt "R(x), S(x,y)" [--mc-samples 100000] [--exact] [--threads N] [--json] [--trace out.json]
 //! probdb count db.txt "R(x), S(x,y)"        # satisfying substructures
 //! probdb plan "R(x), S(x,y)"                # the planner's physical plan
 //! probdb rank db.txt "Director(d), Credit(d,m)" x0 [--top K] [--threads N]
@@ -26,15 +26,14 @@
 //! `~ R(1,2) @ 0.9` (probability update), `- R(1,2)` (delete) — with blank
 //! lines separating atomically-applied batches.
 //!
-//! `--threads N` runs the morsel-driven parallel executor on N workers
-//! (results are bit-for-bit the serial answers; sampling stays
-//! deterministic per seed and thread count). `--shards N` lays the loaded
-//! database out shard-resident (per-shard columnar buffers and posting
-//! lists) and runs extensional scans shard-affine on the pipelined
-//! operator-DAG executor — still bit-for-bit serial answers; a per-plan
-//! cost model keeps small scans monolithic. The `ENGINE_THREADS` / `ENGINE_SHARDS`
-//! environment variables set the defaults. The `--exact` rational path is
-//! serial-only and ignores both flags.
+//! `--threads N` runs extensional plans on the pipelined operator-DAG
+//! executor with N morsel-driven workers (results are bit-for-bit the
+//! serial answers; sampling stays deterministic per seed and thread
+//! count). The `ENGINE_THREADS` environment variable sets the default.
+//! The `--exact` rational path is serial-only and ignores the flag.
+//!
+//! Every subcommand rejects a flag it does not take: it prints the error
+//! and its own usage line and exits with status 2.
 //!
 //! `--trace out.json` (any command) records a span trace of the run —
 //! planner phases, DAG tasks, operator kernels, morsel batches,
@@ -62,45 +61,159 @@ use pdb::{count_satisfying_worlds_exact, load_db};
 use probdb::prelude::*;
 use std::process::ExitCode;
 
+/// One subcommand's interface: its positional arguments and the flags it
+/// takes, each with its value placeholder (`None` for a bare switch).
+struct Command {
+    name: &'static str,
+    positionals: &'static str,
+    flags: &'static [(&'static str, Option<&'static str>)],
+}
+
+/// Accepted by every subcommand.
+const TRACE_FLAG: (&str, Option<&str>) = ("--trace", Some("out.json"));
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "classify",
+        positionals: "<query>",
+        flags: &[],
+    },
+    Command {
+        name: "explain",
+        positionals: "<query>",
+        flags: &[],
+    },
+    Command {
+        name: "eval",
+        positionals: "<db.txt> <query>",
+        flags: &[
+            ("--mc-samples", Some("N")),
+            ("--exact", None),
+            ("--threads", Some("N")),
+            ("--json", None),
+        ],
+    },
+    Command {
+        name: "count",
+        positionals: "<db.txt> <query>",
+        flags: &[],
+    },
+    Command {
+        name: "plan",
+        positionals: "<query>",
+        flags: &[],
+    },
+    Command {
+        name: "rank",
+        positionals: "<db.txt> <query> <head-var>",
+        flags: &[
+            ("--top", Some("K")),
+            ("--threads", Some("N")),
+            ("--json", None),
+        ],
+    },
+    Command {
+        name: "apply",
+        positionals: "<db.txt> <deltas.txt>",
+        flags: &[("-o", Some("out.txt"))],
+    },
+    Command {
+        name: "watch",
+        positionals: "<db.txt> <query> <deltas.txt>",
+        flags: &[("--threads", Some("N"))],
+    },
+    Command {
+        name: "serve",
+        positionals: "<db.txt>",
+        flags: &[
+            ("--addr", Some("host:port")),
+            ("--workers", Some("N")),
+            ("--mc-samples", Some("N")),
+            ("--threads", Some("N")),
+            ("--slow-ms", Some("N")),
+            ("--access-log", Some("file")),
+        ],
+    },
+];
+
+impl Command {
+    fn find(name: &str) -> Option<&'static Command> {
+        COMMANDS.iter().find(|c| c.name == name)
+    }
+
+    fn all_flags(&self) -> impl Iterator<Item = &(&'static str, Option<&'static str>)> {
+        self.flags.iter().chain(std::iter::once(&TRACE_FLAG))
+    }
+
+    fn usage(&self) -> String {
+        let mut line = format!("probdb {} {}", self.name, self.positionals);
+        for (flag, value) in self.all_flags() {
+            match value {
+                Some(v) => line.push_str(&format!(" [{flag} {v}]")),
+                None => line.push_str(&format!(" [{flag}]")),
+            }
+        }
+        line
+    }
+
+    /// Reject any flag this subcommand does not take. Flag values are
+    /// skipped, so a value that happens to start with `-` is not
+    /// mistaken for a flag.
+    fn check_flags(&self, args: &[String]) -> Result<(), String> {
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with('-') || arg.len() == 1 {
+                continue;
+            }
+            match self.all_flags().find(|(flag, _)| flag == arg) {
+                Some((_, Some(_))) => {
+                    rest.next();
+                }
+                Some((_, None)) => {}
+                None => return Err(format!("{} does not take {arg}", self.name)),
+            }
+        }
+        Ok(())
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!(
-                "usage: probdb classify <query> | explain <query> | eval <db.txt> <query> [--mc-samples N] [--threads N] [--shards N] [--json] [--trace out.json] | count <db.txt> <query> | plan <query> | rank <db.txt> <query> <head-var> [--top K] [--threads N] [--shards N] [--json] [--trace out.json] | apply <db.txt> <deltas.txt> [-o out.txt] | watch <db.txt> <query> <deltas.txt> [--threads N] [--shards N] [--trace out.json] | serve <db.txt> [--addr host:port] [--workers N] [--mc-samples N] [--threads N] [--shards N] [--slow-ms N] [--access-log file]"
-            );
+            match args.first().and_then(|c| Command::find(c)) {
+                Some(cmd) => eprintln!("usage: {}", cmd.usage()),
+                None => {
+                    let all: Vec<String> = COMMANDS.iter().map(Command::usage).collect();
+                    eprintln!("usage: {}", all.join(" | "));
+                }
+            }
             ExitCode::from(2)
         }
     }
 }
 
-/// Parse optional `--threads N` / `--shards N` flags into execution
-/// options; absent flags fall back to [`ExecOptions::default`], which
-/// honors `ENGINE_THREADS` / `ENGINE_SHARDS`.
+/// Parse an optional `--threads N` flag into execution options; an absent
+/// flag falls back to [`ExecOptions::default`], which honors
+/// `ENGINE_THREADS`.
 fn exec_options(args: &[String]) -> Result<ExecOptions, String> {
-    let tuning = |flag: &str, default: usize| -> Result<usize, String> {
-        match args.iter().position(|a| a == flag) {
-            Some(i) => {
-                let n = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("{flag} needs a value"))?
-                    .parse::<usize>()
-                    .map_err(|e| e.to_string())?;
-                if n == 0 {
-                    return Err(format!("{flag} must be at least 1"));
-                }
-                Ok(n)
+    let threads = match args.iter().position(|a| a == "--threads") {
+        Some(i) => {
+            let n = args
+                .get(i + 1)
+                .ok_or("--threads needs a value")?
+                .parse::<usize>()
+                .map_err(|e| e.to_string())?;
+            if n == 0 {
+                return Err("--threads must be at least 1".into());
             }
-            None => Ok(default),
+            n
         }
+        None => ExecOptions::default().threads,
     };
-    let defaults = ExecOptions::default();
-    Ok(ExecOptions::with_tuning(
-        tuning("--threads", defaults.threads)?,
-        tuning("--shards", defaults.shards)?,
-    ))
+    Ok(ExecOptions::with_threads(threads))
 }
 
 /// `--trace out.json`, falling back to a path-valued `ENGINE_TRACE`.
@@ -134,6 +247,9 @@ fn json_mode(args: &[String]) -> bool {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    let cmd = args.first().ok_or("missing command")?;
+    let cmd = Command::find(cmd).ok_or_else(|| format!("unknown command {cmd:?}"))?;
+    cmd.check_flags(&args[1..])?;
     let trace = trace_path(args)?;
     dispatch(args)?;
     if let Some(path) = &trace {
@@ -143,8 +259,7 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn dispatch(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing command")?;
-    match cmd.as_str() {
+    match args[0].as_str() {
         "classify" => {
             let text = args.get(1).ok_or("missing query")?;
             let mut voc = Vocabulary::new();
@@ -191,14 +306,9 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 println!("     ≈ {:.12}   method={how}", p.to_f64());
                 return Ok(());
             }
-            let mut db = load_db(&mut voc, &data).map_err(|e| e.to_string())?;
+            let db = load_db(&mut voc, &data).map_err(|e| e.to_string())?;
             let q = parse_query(&mut voc, text).map_err(|e| e.to_string())?;
             let exec = exec_options(args)?;
-            // A sharded tuning gets a matching resident layout, so DAG
-            // scans resolve inside per-shard buffers and posting lists.
-            if exec.shards > 1 {
-                db.set_shard_layout(exec.shards);
-            }
             let engine = Engine::with_options(samples, 0xDA151, exec);
             let ev = engine
                 .evaluate(&db, &q, Strategy::Auto)
@@ -264,7 +374,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             };
             let data = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
             let mut voc = Vocabulary::new();
-            let mut db = load_db(&mut voc, &data).map_err(|e| e.to_string())?;
+            let db = load_db(&mut voc, &data).map_err(|e| e.to_string())?;
             let q = parse_query(&mut voc, text).map_err(|e| e.to_string())?;
             // Head variables are named x0, x1, … in parse order.
             let head_idx: usize = head_name
@@ -277,9 +387,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             }
             let mut engine = Engine::new();
             engine.exec = exec_options(args)?;
-            if engine.exec.shards > 1 {
-                db.set_shard_layout(engine.exec.shards);
-            }
             let (mut answers, ranked_run) =
                 ranked_answers_counted(&engine, &db, &q, &head, Strategy::Auto)
                     .map_err(|e| e.to_string())?;
@@ -375,11 +482,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             db.voc = voc;
             let mut engine = Engine::new();
             engine.exec = exec_options(args)?;
-            // Resident layout before subscribing: delta batches below then
-            // route shard-locally and stamp per-shard versions.
-            if engine.exec.shards > 1 {
-                db.set_shard_layout(engine.exec.shards);
-            }
             let view = engine.subscribe(&db, &q).map_err(|e| e.to_string())?;
             let first = view.read(&db).map_err(|e| e.to_string())?;
             println!(
@@ -432,9 +534,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 exec: exec_options(args)?,
                 ..serve::ServeOptions::default()
             };
-            if opts.exec.shards > 1 {
-                db.set_shard_layout(opts.exec.shards);
-            }
             if let Some(i) = args.iter().position(|a| a == "--addr") {
                 opts.addr = args.get(i + 1).ok_or("--addr needs host:port")?.clone();
             }
@@ -482,6 +581,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 std::thread::park();
             }
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => unreachable!("run() accepts only listed commands, not {other:?}"),
     }
 }

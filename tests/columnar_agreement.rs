@@ -5,9 +5,7 @@
 //! random databases, and through ranked (top-k) retrieval. The row
 //! executor is preserved verbatim in `safeplan::rowref` as the oracle.
 
-use probdb::prelude::{
-    build_plan, par_execute, ParOptions, Pool, ProbDb, Query, Value, Var, Vocabulary,
-};
+use probdb::prelude::{build_plan, dag_execute, DagOptions, ProbDb, Query, Value, Var, Vocabulary};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,8 +96,7 @@ fn columnar_matches_row_executor_on_random_hierarchical_queries() {
                 &format!("case {case} round {round} serial: {}", q.display(&voc)),
             );
             for threads in THREADS {
-                let pool = Pool::with_grain(threads, 3);
-                let par = par_execute(&db, &probs, &plan, &pool);
+                let par = dag_execute(&db, &probs, &plan, &DagOptions::with_grain(threads, 3));
                 assert_same(
                     &par,
                     &oracle,
@@ -133,12 +130,12 @@ fn columnar_ranked_top_k_matches_row_executor() {
         let serial = ranked_probabilities(&db, &probs, &plan, &head);
         assert_eq!(oracle, serial, "case {case} serial ranked");
         for threads in THREADS {
-            let par = safeplan::par_ranked_probabilities(
+            let (par, _) = safeplan::dag_ranked_probabilities(
                 &db,
                 &probs,
                 &plan,
                 &head,
-                ParOptions::with_grain(threads, 3),
+                &DagOptions::with_grain(threads, 3),
             );
             assert_eq!(oracle, par, "case {case} ranked threads {threads}");
         }
@@ -187,8 +184,7 @@ proptest! {
         prop_assert_eq!(serial.len(), oracle.rows.len());
         prop_assert_eq!(serial.scalar().to_bits(), oracle.scalar().to_bits());
         for threads in THREADS {
-            let pool = Pool::with_grain(threads, 2);
-            let par = par_execute(&db, &probs, &plan, &pool);
+            let par = dag_execute(&db, &probs, &plan, &DagOptions::with_grain(threads, 2));
             prop_assert_eq!(par.scalar().to_bits(), oracle.scalar().to_bits(),
                 "threads {}", threads);
         }

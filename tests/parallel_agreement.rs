@@ -1,18 +1,19 @@
-//! Parallel/serial agreement: the morsel-driven parallel executor must
-//! return **bit-for-bit** what the serial executor returns — same rows,
-//! same order, same `f64` values — for every thread count, on random
-//! hierarchical self-join-free queries over random databases, through
-//! every layer (raw `par_execute`, the engine, and ranked retrieval).
+//! Parallel/serial agreement: the operator-DAG executor on its
+//! morsel-driven pool must return **bit-for-bit** what the serial
+//! executor returns — same rows, same order, same `f64` values — for
+//! every thread count, on random hierarchical self-join-free queries over
+//! random databases, through every layer (raw `dag_execute`, the engine,
+//! ranked retrieval, and incremental view refresh).
 
 use dichotomy::engine::Strategy;
 use probdb::prelude::{
-    build_plan, par_execute, parse_query, ranked_answers, top_k, Engine, ExecOptions, ParOptions,
-    Pool, ProbDb, Query, Value, Var, Vocabulary,
+    build_plan, dag_execute, dag_query_probability, parse_query, query_probability, ranked_answers,
+    top_k, DagOptions, Engine, ExecOptions, ProbDb, Query, Value, Var, Vocabulary,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use safeplan::{execute, ranked_probabilities};
+use safeplan::{dag_ranked_probabilities, execute, ranked_probabilities};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -63,10 +64,11 @@ fn random_db(q: &Query, voc: &Vocabulary, rng: &mut StdRng) -> ProbDb {
     random_db_for_query(q, voc, opts, rng)
 }
 
-/// Raw executor agreement on random safe queries and databases, with a
-/// tiny morsel grain so even small inputs split into many morsels.
+/// Raw executor agreement on random safe queries and databases: the
+/// compiled plan's whole output relation, with a tiny morsel grain so even
+/// small inputs split into many morsels.
 #[test]
-fn par_execute_matches_serial_on_random_hierarchical_queries() {
+fn dag_execute_matches_serial_on_random_hierarchical_queries() {
     let mut rng = StdRng::seed_from_u64(0x9_A7A11E1);
     for case in 0..25 {
         let mut voc = Vocabulary::new();
@@ -77,14 +79,40 @@ fn par_execute_matches_serial_on_random_hierarchical_queries() {
             let probs = db.prob_vector();
             let serial = execute(&db, &probs, &plan);
             for threads in THREADS {
-                let pool = Pool::with_grain(threads, 3);
-                let par = par_execute(&db, &probs, &plan, &pool);
+                let par = dag_execute(&db, &probs, &plan, &DagOptions::with_grain(threads, 3));
                 assert_eq!(
                     serial,
                     par,
                     "case {case} round {round} threads {threads}: {}",
                     q.display(&voc)
                 );
+            }
+        }
+    }
+}
+
+/// The optimized plan's scalar at the default grain, on random
+/// hierarchical SJF queries: the DAG scheduler returns the serial
+/// oracle's bits and schedules at least one task.
+#[test]
+fn dag_matches_serial_on_random_hierarchical_queries() {
+    let mut rng = StdRng::seed_from_u64(0x5AA2D);
+    for case in 0..25 {
+        let mut voc = Vocabulary::new();
+        let q = random_hierarchical_query(&mut rng, &mut voc);
+        let plan = safeplan::optimize(&build_plan(&q).unwrap());
+        for round in 0..2 {
+            let db = random_db(&q, &voc, &mut rng);
+            let oracle = query_probability(&db, &plan);
+            for threads in THREADS {
+                let (p, run) = dag_query_probability(&db, &plan, &DagOptions::new(threads));
+                assert_eq!(
+                    p.to_bits(),
+                    oracle.to_bits(),
+                    "case {case} round {round} threads {threads}: {} ({p} vs {oracle})",
+                    q.display(&voc)
+                );
+                assert!(run.sched.tasks >= 1, "case {case}: no tasks scheduled");
             }
         }
     }
@@ -148,7 +176,7 @@ fn ranked_top_k_is_thread_count_invariant() {
     }
 }
 
-/// The raw ranked-plan path agrees too (no engine, explicit pool).
+/// The raw ranked-plan path agrees too (no engine, explicit grain).
 #[test]
 fn par_ranked_probabilities_match_serial() {
     let mut rng = StdRng::seed_from_u64(0xAB3);
@@ -160,45 +188,155 @@ fn par_ranked_probabilities_match_serial() {
     let probs = db.prob_vector();
     let serial = ranked_probabilities(&db, &probs, &plan, &[d]);
     for threads in THREADS {
-        let par = safeplan::par_ranked_probabilities(
+        let (par, _) = dag_ranked_probabilities(
             &db,
             &probs,
             &plan,
             &[d],
-            ParOptions::with_grain(threads, 2),
+            &DagOptions::with_grain(threads, 2),
         );
         assert_eq!(serial, par, "threads {threads}");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Ranked retrieval on random hierarchical queries: the DAG ranked path
+/// returns the serial oracle's exact answer list — tuples, probability
+/// bits, and order — so any top-k cut is identical.
+#[test]
+fn dag_ranked_top_k_matches_serial() {
+    let mut rng = StdRng::seed_from_u64(0x5AA2E);
+    for case in 0..10 {
+        let mut voc = Vocabulary::new();
+        let q = random_hierarchical_query(&mut rng, &mut voc);
+        let vars = q.vars();
+        let head = vec![vars[rng.gen_range(0..vars.len())]];
+        let Ok(plan) = safeplan::build_ranked_plan(&q, &head) else {
+            continue;
+        };
+        let db = random_db(&q, &voc, &mut rng);
+        let probs = db.prob_vector();
+        let oracle = ranked_probabilities(&db, &probs, &plan, &head);
+        for threads in THREADS {
+            let (ranked, _) =
+                dag_ranked_probabilities(&db, &probs, &plan, &head, &DagOptions::new(threads));
+            assert_eq!(ranked.len(), oracle.len(), "case {case} threads {threads}");
+            for (i, ((tv, tp), (ov, op))) in ranked.iter().zip(&oracle).enumerate() {
+                assert_eq!(tv, ov, "case {case} threads {threads} row {i} tuple");
+                assert_eq!(
+                    tp.to_bits(),
+                    op.to_bits(),
+                    "case {case} threads {threads} row {i} probability"
+                );
+            }
+        }
+    }
+}
 
-    /// Property: for random R/1, S/2 databases, the parallel executor is
-    /// bit-identical to the serial one on q_hier, at every thread count.
-    #[test]
-    fn par_execute_is_bit_identical_on_random_dbs(
-        r_rows in proptest::collection::vec((0u64..4, 0.05f64..0.95), 1..12),
-        s_rows in proptest::collection::vec((0u64..4, 0u64..4, 0.05f64..0.95), 1..16),
-    ) {
+/// Engine evaluation and incremental view refresh under churn: a threaded
+/// engine reproduces the serial engine's bits, and its subscribed view
+/// tracks cold serial execution bit-for-bit round after round.
+#[test]
+fn engine_and_views_agree_across_threads() {
+    let mut rng = StdRng::seed_from_u64(0x5AA2F);
+    for threads in THREADS {
         let mut voc = Vocabulary::new();
         let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
         let r = voc.find_relation("R").unwrap();
         let s = voc.find_relation("S").unwrap();
         let mut db = ProbDb::new(voc);
-        for &(a, p) in &r_rows {
-            db.insert(r, vec![Value(a)], p);
+        for i in 0..40u64 {
+            db.insert(r, vec![Value(i)], rng.gen_range(0.05..0.95));
+            for j in 0..3u64 {
+                db.insert(
+                    s,
+                    vec![Value(i), Value(100 + i * 3 + j)],
+                    rng.gen_range(0.05..0.95),
+                );
+            }
         }
-        for &(a, b, p) in &s_rows {
-            db.insert(s, vec![Value(a), Value(b)], p);
+        let serial = Engine::with_options(0, 7, ExecOptions::serial());
+        let tuned = Engine::with_options(0, 7, ExecOptions::with_threads(threads));
+        let p0 = serial
+            .evaluate(&db, &q, Strategy::Auto)
+            .unwrap()
+            .probability;
+        let p1 = tuned.evaluate(&db, &q, Strategy::Auto).unwrap().probability;
+        assert_eq!(p0.to_bits(), p1.to_bits(), "engine t={threads}");
+
+        let view = tuned.subscribe(&db, &q).unwrap();
+        assert!(view.is_incremental());
+        for round in 0..3u64 {
+            for i in 0..20u64 {
+                let v = 10_000 * (round + 1) + i;
+                db.insert(r, vec![Value(v)], rng.gen_range(0.05..0.95));
+                db.insert(s, vec![Value(v), Value(v + 1)], rng.gen_range(0.05..0.95));
+            }
+            let refreshed = view.read(&db).unwrap().evaluation.probability;
+            let cold = serial
+                .evaluate(&db, &q, Strategy::Auto)
+                .unwrap()
+                .probability;
+            assert_eq!(
+                refreshed.to_bits(),
+                cold.to_bits(),
+                "view refresh round {round} t={threads}"
+            );
         }
+    }
+}
+
+/// q_hier = R(x), S(x,y) and a database holding exactly the given R and
+/// S rows (duplicate inserts allowed).
+fn q_hier_db(r_rows: &[(u64, f64)], s_rows: &[(u64, u64, f64)]) -> (Query, ProbDb) {
+    let mut voc = Vocabulary::new();
+    let q = parse_query(&mut voc, "R(x), S(x,y)").unwrap();
+    let r = voc.find_relation("R").unwrap();
+    let s = voc.find_relation("S").unwrap();
+    let mut db = ProbDb::new(voc);
+    for &(a, p) in r_rows {
+        db.insert(r, vec![Value(a)], p);
+    }
+    for &(a, b, p) in s_rows {
+        db.insert(s, vec![Value(a), Value(b)], p);
+    }
+    (q, db)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property: for random R/1, S/2 databases, the DAG executor's
+    /// compiled-plan relation at a tiny grain is bit-identical to the
+    /// serial one on q_hier, at every thread count.
+    #[test]
+    fn dag_execute_is_bit_identical_on_random_dbs(
+        r_rows in proptest::collection::vec((0u64..4, 0.05f64..0.95), 1..12),
+        s_rows in proptest::collection::vec((0u64..4, 0u64..4, 0.05f64..0.95), 1..16),
+    ) {
+        let (q, db) = q_hier_db(&r_rows, &s_rows);
         let plan = build_plan(&q).unwrap();
         let probs = db.prob_vector();
         let serial = execute(&db, &probs, &plan);
         for threads in THREADS {
-            let pool = Pool::with_grain(threads, 2);
-            let par = par_execute(&db, &probs, &plan, &pool);
+            let par = dag_execute(&db, &probs, &plan, &DagOptions::with_grain(threads, 2));
             prop_assert_eq!(&serial, &par, "threads {}", threads);
+        }
+    }
+
+    /// Property: for random R/1, S/2 databases (duplicate inserts
+    /// allowed), the DAG executor's optimized-plan scalar is bit-identical
+    /// to the serial one on q_hier, at every thread count.
+    #[test]
+    fn dag_is_bit_identical_on_random_dbs(
+        r_rows in proptest::collection::vec((0u64..4, 0.05f64..0.95), 1..12),
+        s_rows in proptest::collection::vec((0u64..4, 0u64..4, 0.05f64..0.95), 1..16),
+    ) {
+        let (q, db) = q_hier_db(&r_rows, &s_rows);
+        let plan = safeplan::optimize(&build_plan(&q).unwrap());
+        let oracle = query_probability(&db, &plan);
+        for threads in THREADS {
+            let (p, _) = dag_query_probability(&db, &plan, &DagOptions::new(threads));
+            prop_assert_eq!(p.to_bits(), oracle.to_bits(), "threads {}", threads);
         }
     }
 }

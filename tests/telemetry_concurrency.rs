@@ -82,7 +82,7 @@ fn op_counters_absorb_is_lossless_across_task_partitions() {
             joins_build_left: i / 2,
             join_rows: i * 11,
             groups: i * 3,
-            shard_fanout: 4,
+            est_builds: i % 4,
             ..OpCounters::default()
         })
         .collect();

@@ -1,4 +1,4 @@
-//! Span tracing end-to-end: a traced threaded + sharded evaluation emits a
+//! Span tracing end-to-end: a traced threaded evaluation emits a
 //! well-formed span forest (named phases, per-worker lanes, children nested
 //! inside parents) and exports as parseable Chrome trace-event JSON; an
 //! incremental refresh and a Monte-Carlo run contribute their own phases.
@@ -67,7 +67,7 @@ fn traced_evaluation_names_every_phase_and_nests() {
     telemetry::clear_spans();
 
     let (db, q) = star_db(64, 4);
-    let engine = Engine::with_options(0, 7, ExecOptions::with_tuning(4, 4));
+    let engine = Engine::with_options(0, 7, ExecOptions::with_threads(4));
     let ev = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
     let spans = telemetry::take_spans();
     telemetry::set_enabled(false);
@@ -95,7 +95,7 @@ fn traced_evaluation_names_every_phase_and_nests() {
     }
     assert!(
         spans.iter().any(|s| s.label.starts_with("dag-task ")),
-        "threads=4/shards=4 should schedule DAG tasks"
+        "threads=4 should schedule DAG tasks"
     );
 
     // The phase skeleton hangs together: classify under plan-compile under
@@ -125,7 +125,7 @@ fn traced_run_uses_one_lane_per_worker() {
     telemetry::clear_spans();
 
     let (db, q) = star_db(256, 4);
-    let engine = Engine::with_options(0, 7, ExecOptions::with_tuning(4, 4));
+    let engine = Engine::with_options(0, 7, ExecOptions::with_threads(4));
     let _ = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
     let spans = telemetry::take_spans();
     telemetry::set_enabled(false);
@@ -166,7 +166,7 @@ fn chrome_trace_export_parses_and_names_lanes() {
     telemetry::clear_spans();
 
     let (db, q) = star_db(64, 4);
-    let engine = Engine::with_options(0, 7, ExecOptions::with_tuning(4, 4));
+    let engine = Engine::with_options(0, 7, ExecOptions::with_threads(4));
     let _ = engine.evaluate(&db, &q, Strategy::Auto).unwrap();
     let spans = telemetry::take_spans();
     telemetry::set_enabled(false);
@@ -227,7 +227,7 @@ fn incremental_refresh_records_delta_phases() {
         db.insert(r, vec![Value(i)], 0.4);
         db.insert(s, vec![Value(i), Value(100 + i)], 0.5);
     }
-    let engine = Engine::with_options(0, 7, ExecOptions::with_tuning(2, 2));
+    let engine = Engine::with_options(0, 7, ExecOptions::with_threads(2));
     let view = engine.subscribe(&db, &q).unwrap();
     assert!(view.is_incremental());
     let _ = view.read(&db).unwrap();
